@@ -19,24 +19,12 @@ from .interval import (
     TWO_PI,
 )
 from .jets import Jet4
-from .curves import (
-    Bump,
-    Ellipse,
-    AxisRatio,
-    ZoneViolation,
-    DegenerateTangent,
-    curve_deriv,
-    lemma_poly,
-    hull_enclosure,
-    curvature,
-)
+from .curves import Bump, AxisRatio, ZoneViolation, lemma_poly, hull_enclosure
 from .signcheck import SignTask, SignResult, validate_sign
 from .quadrature import Tolerance, QuadratureResult, NonEvaluable, gl2_enclosure, adaptive_integrate
 from .integrands import (
     Regime,
-    Target,
     IntegrandSpec,
-    kt_scaled_integrand,
     make_kt_integrand,
     singular_residual,
     ellipse_rotation_integrand,

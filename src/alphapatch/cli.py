@@ -18,20 +18,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 from datetime import datetime, timezone
 
 from .interval import Interval, SignOutcome, PI
-from .curves import ZONE_LEFT, ZONE_RIGHT, lemma_poly
-from .signcheck import SignTask, validate_sign, write_certificate_csv
-from .integrands import ellipse_rotation_check
-from .pipeline import ParameterSet, run_queue, write_region_files
+from .curves import lemma_poly
+from .quadrature import Tolerance
+from .signcheck import DEFAULT_MIN_WIDTH, SignTask, validate_sign, write_certificate_csv
+from .integrands import WINDOW_HALF, ellipse_rotation_check
+from .pipeline import (
+    SPLIT_THRESHOLD,
+    ParameterSet,
+    run_queue,
+    write_region_files,
+    zone_fact_tasks,
+)
 from . import simulator as sim
-
-LEMMA_MIN_WIDTH = 2e-10
 
 
 def _utc_now():
@@ -43,7 +47,8 @@ def config_hash(pairs):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def write_manifest(out_dir, command, pairs, outputs, started):
+def write_manifest(out_dir, command, pairs, outputs, started, **fields):
+    """Write manifest.json; ``fields`` become further top-level keys."""
     manifest = {
         "command": command,
         "config_hash": config_hash(pairs),
@@ -51,6 +56,7 @@ def write_manifest(out_dir, command, pairs, outputs, started):
         "started": started,
         "finished": _utc_now(),
         "outputs": sorted(outputs),
+        **fields,
     }
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "manifest.json")
@@ -64,7 +70,7 @@ def write_manifest(out_dir, command, pairs, outputs, started):
 # ---------------------------------------------------------------------------
 
 
-def lemma_tasks(min_width=LEMMA_MIN_WIDTH):
+def lemma_tasks(min_width=DEFAULT_MIN_WIDTH):
     """The fourteen sign tasks: k_C > 0 on [-pi, pi] for both phases, and
     the alternating d_1..d_6 signs on the two endpoint zones."""
     full = Interval(-PI.hi, PI.hi)
@@ -82,19 +88,7 @@ def lemma_tasks(min_width=LEMMA_MIN_WIDTH):
                 ),
             )
         )
-    zone_signs = {
-        1: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_NEGATIVE),
-        2: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_POSITIVE),
-        3: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_NEGATIVE),
-        4: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_POSITIVE),
-        5: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_NEGATIVE),
-        6: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_POSITIVE),
-    }
-    for k, (left_sign, right_sign) in zone_signs.items():
-        f = lambda x, k=k: lemma_poly(f"d{k}", x)
-        tasks.append((f"d{k}:left", SignTask(f, ZONE_LEFT, min_width, left_sign)))
-        tasks.append((f"d{k}:right", SignTask(f, ZONE_RIGHT, min_width, right_sign)))
-    return tasks
+    return tasks + zone_fact_tasks(min_width)
 
 
 def cmd_prove_lemma(args):
@@ -185,9 +179,9 @@ def _parse_alpha_interval(text):
     return lo, hi
 
 
-def full_sweep_intervals(step=0.01):
-    """Tile [0, 2) into initial alpha intervals: the vortex point plus
-    contiguous slices of (0, 2)."""
+def full_sweep_intervals(step):
+    """Initial alpha intervals covering {0} and [1e-9, 2 - 1e-9]: the vortex
+    point plus contiguous slices of width ``step``."""
     intervals = [(0.0, 0.0)]
     lo = 1e-9
     while lo < 2.0 - 1e-9:
@@ -217,12 +211,7 @@ def cmd_prove_convexity(args):
         )
         for lo, hi in intervals
     ]
-    rows = run_queue(
-        initial,
-        split_threshold=args.split_threshold,
-        workers=args.workers,
-        out_dir=args.out_dir,
-    )
+    rows = run_queue(initial, split_threshold=args.split_threshold, workers=args.workers)
     paths = write_region_files(rows, args.out_dir)
     unresolved = [
         v
@@ -260,6 +249,18 @@ def cmd_prove_convexity(args):
 # simulate
 # ---------------------------------------------------------------------------
 
+# config keys passed through to SimConfig, defaulting to its own defaults
+_SOLVER_KEYS = (
+    "jump",
+    "filter_strength",
+    "filter_order",
+    "rk_abs_tol",
+    "rk_rel_tol",
+    "t_final",
+    "snapshot_interval",
+    "arc_chord_factor",
+)
+
 _SIM_DEFAULTS = {
     "shape": "ellipse",
     "r1": 1.0,
@@ -268,14 +269,7 @@ _SIM_DEFAULTS = {
     "c_phase": 0.15,
     "n": 512,
     "alpha": 1.0,
-    "jump": -2.0 * math.pi,
-    "filter_strength": 36.0,
-    "filter_order": 36,
-    "rk_abs_tol": 1e-8,
-    "rk_rel_tol": 1e-8,
-    "t_final": 10.0,
-    "snapshot_interval": 1.0,
-    "arc_chord_factor": 1e-3,
+    **{key: getattr(sim.SimConfig, key) for key in _SOLVER_KEYS},
 }
 
 
@@ -341,24 +335,15 @@ def cmd_simulate(args):
     started = _utc_now()
     cfgmap = load_sim_config(args.config, args.set or [])
     state = _initial_state(cfgmap)
-    cfg = sim.SimConfig(
-        alpha=cfgmap["alpha"],
-        jump=cfgmap["jump"],
-        filter_strength=cfgmap["filter_strength"],
-        filter_order=cfgmap["filter_order"],
-        rk_abs_tol=cfgmap["rk_abs_tol"],
-        rk_rel_tol=cfgmap["rk_rel_tol"],
-        t_final=cfgmap["t_final"],
-        snapshot_interval=cfgmap["snapshot_interval"],
-        arc_chord_factor=cfgmap["arc_chord_factor"],
-    )
+    cfg = sim.SimConfig(alpha=cfgmap["alpha"], **{key: cfgmap[key] for key in _SOLVER_KEYS})
     os.makedirs(args.out_dir, exist_ok=True)
     halted = None
+    reached = []
     try:
-        snapshots = sim.evolve(state, cfg)
+        snapshots = sim.evolve(state, cfg, on_snapshot=reached.append)
     except (sim.ArcChordCollapse, sim.StepSizeUnderflow) as exc:
         halted = exc
-        snapshots = [state]
+        snapshots = reached
     diags = [sim.diagnostics(s) for s in snapshots]
     snap_path = os.path.join(args.out_dir, "snapshots.csv")
     diag_path = os.path.join(args.out_dir, "diagnostics.csv")
@@ -369,8 +354,11 @@ def cmd_simulate(args):
         print(f"convexity lost by t = {loss:.6g}")
     else:
         print("no convexity loss observed")
+    halt = None
+    if halted is not None:
+        halt = {"reason": type(halted).__name__, "time": halted.time, "message": str(halted)}
     manifest = write_manifest(
-        args.out_dir, "simulate", cfgmap, [snap_path, diag_path], started
+        args.out_dir, "simulate", cfgmap, [snap_path, diag_path], started, halt=halt
     )
     print(f"snapshots: {snap_path}\ndiagnostics: {diag_path}\nmanifest: {manifest}")
     if halted is not None:
@@ -390,7 +378,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove-lemma", help="certify the 14 polynomial sign claims")
-    p.add_argument("--min-width", type=float, default=LEMMA_MIN_WIDTH)
+    p.add_argument("--min-width", type=float, default=DEFAULT_MIN_WIDTH)
     p.add_argument("--only", help="run a single task, e.g. kC:0.45")
     p.add_argument("--out-dir", default="out/lemma")
     p.set_defaults(fn=cmd_prove_lemma)
@@ -398,20 +386,20 @@ def build_parser():
     p = sub.add_parser("prove-rotation", help="certify ellipse non-rotation positivity")
     p.add_argument("--alpha", type=float, action="append")
     p.add_argument("--axis-ratio", type=float, action="append")
-    p.add_argument("--delta", type=float, default=1.0 / 128.0)
-    p.add_argument("--min-width", type=float, default=LEMMA_MIN_WIDTH)
+    p.add_argument("--delta", type=float, default=WINDOW_HALF)
+    p.add_argument("--min-width", type=float, default=DEFAULT_MIN_WIDTH)
     p.add_argument("--out-dir", default="out/rotation")
     p.set_defaults(fn=cmd_prove_rotation)
 
     p = sub.add_parser("prove-convexity", help="certify curvature-derivative signs")
     p.add_argument("--c-phase", type=float, default=0.15, choices=[0.15, 0.45])
     p.add_argument("--alpha", action="append", help="alpha interval lo:hi (repeatable)")
-    p.add_argument("--abs-tol", type=float, default=1e-6)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--max-depth", type=int, default=13)
-    p.add_argument("--split-threshold", type=float, default=5e-6)
+    p.add_argument("--abs-tol", type=float, default=Tolerance.abs_tol)
+    p.add_argument("--rel-tol", type=float, default=Tolerance.rel_tol)
+    p.add_argument("--max-depth", type=int, default=Tolerance.max_depth)
+    p.add_argument("--split-threshold", type=float, default=SPLIT_THRESHOLD)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--full-sweep", action="store_true", help="tile all of [0,2) (long)")
+    p.add_argument("--full-sweep", action="store_true", help="cover {0} and [1e-9, 2-1e-9] (long)")
     p.add_argument("--sweep-step", type=float, default=0.01)
     p.add_argument("--out-dir", default="out/convexity")
     p.set_defaults(fn=cmd_prove_convexity)

@@ -1,11 +1,8 @@
-"""Boundary curve families and their validated derivative evaluation.
+"""The proof curve and its validated derivative evaluation.
 
-Two families appear in the proofs:
-
-* the bump-sine curve  z(x) = (2 e^{1 - 1/(1-(x/pi)^2)} - 1, sin(x - C)),
-  defined on [-pi, pi] and extended 2pi-periodically (the first component is
-  even, approaches -1 at +-pi, and all its derivatives vanish there);
-* ellipses  z(x) = (R1 cos x, R2 sin x).
+The bump-sine curve  z(x) = (2 e^{1 - 1/(1-(x/pi)^2)} - 1, sin(x - C))  is
+defined on [-pi, pi] and extended 2pi-periodically (the first component is
+even, approaches -1 at +-pi, and all its derivatives vanish there).
 
 The k-th derivative of the bump component factors as
 
@@ -30,26 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
-from .interval import Interval, DomainViolation, PI, TWO_PI, ZERO, ONE
+from .interval import Interval, DomainViolation, PI, ZERO
 from .jets import Jet4
 
 __all__ = [
     "Bump",
-    "Ellipse",
-    "CurveFamily",
     "AxisRatio",
     "ZoneViolation",
-    "DegenerateTangent",
     "EPS_ZONE",
     "ZONE_LEFT",
     "ZONE_RIGHT",
-    "periodic_reduce",
-    "curve_deriv",
     "lemma_poly",
     "hull_enclosure",
-    "curvature",
     "bump_envelope",
     "z1_derivs",
     "z2_derivs",
@@ -58,10 +48,6 @@ __all__ = [
 
 class ZoneViolation(DomainViolation):
     """Argument not inside one of the +-pi endpoint zones."""
-
-
-class DegenerateTangent(DomainViolation):
-    """Tangent-speed enclosure touches zero; curvature undefined."""
 
 
 EPS_ZONE = 1.0 / 128.0  # representable exactly
@@ -82,19 +68,6 @@ class Bump:
     @classmethod
     def from_float(cls, c):
         return cls(Interval.around(c))
-
-
-@dataclass(frozen=True)
-class Ellipse:
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        if not (self.r1 > 0 and self.r2 > 0):
-            raise ValueError("semiaxes must be positive")
-
-
-CurveFamily = Union[Bump, Ellipse]
 
 
 @dataclass(frozen=True)
@@ -241,41 +214,6 @@ def z2_derivs(u, kmax, c_phase):
     return [cycle[k % 4] for k in range(kmax + 1)]
 
 
-def periodic_reduce(x):
-    """Shift an interval by a multiple of 2*pi towards [-pi, pi]."""
-    k = round(x.mid() / math.tau)
-    if k == 0:
-        return x
-    return x - TWO_PI * float(k)
-
-
-# --------------------------------------------------------------------------
-# public operations
-# --------------------------------------------------------------------------
-
-
-def curve_deriv(curve, k, x, periodic=False):
-    """Enclosure of both components of the k-th parameter derivative.
-
-    Returns a pair of intervals.  For the bump curve the closed form is used
-    and the argument must stay strictly inside (-pi, pi) after optional
-    periodic reduction; arguments touching +-pi must go through
-    :func:`hull_enclosure` instead.
-    """
-    if not 0 <= k <= 6:
-        raise ValueError("derivative order must be 0..6")
-    if periodic:
-        x = periodic_reduce(x)
-    if isinstance(curve, Bump):
-        c1 = z1_derivs(x, k)[k]
-        c2 = z2_derivs(x, k, curve.c_phase)[k]
-        return c1, c2
-    s, c = x.sin(), x.cos()
-    first = (c, -s, -c, s)[k % 4] * curve.r1
-    second = (s, c, -s, -c)[k % 4] * curve.r2
-    return first, second
-
-
 def lemma_poly(name, x, c_phase=None):
     """Interval evaluation of k_C or one of d_1..d_6.
 
@@ -327,33 +265,3 @@ def hull_enclosure(curve, k, x):
         else:
             vals.append(z1_derivs(Interval(endpoint), k)[k])
     return vals[0].hull(vals[1])
-
-
-def _bump_z1_parts_for_curvature(curve, x):
-    if -math.pi < x.lo and x.hi < math.pi:
-        ds = z1_derivs(x, 2)
-        return ds[1], ds[2]
-    return hull_enclosure(curve, 1, x), hull_enclosure(curve, 2, x)
-
-
-def curvature(curve, x):
-    """Enclosure of the signed curvature over ``x``."""
-    if isinstance(curve, Bump):
-        z1x, z1xx = _bump_z1_parts_for_curvature(curve, x)
-        z2 = z2_derivs(x, 2, curve.c_phase)
-        z2x, z2xx = z2[1], z2[2]
-        speed2 = z1x.sqr() + z2x.sqr()
-    else:
-        s, c = x.sin(), x.cos()
-        r1, r2 = curve.r1, curve.r2
-        z1x, z1xx = -r1 * s, -r1 * c
-        z2x, z2xx = r2 * c, -r2 * s
-        # rewrite avoids the sin/cos dependency so the speed stays positive
-        if r1 >= r2:
-            speed2 = r2 * r2 + (r1 * r1 - r2 * r2) * s.sqr()
-        else:
-            speed2 = r1 * r1 + (r2 * r2 - r1 * r1) * c.sqr()
-    if speed2.lo <= 0.0:
-        raise DegenerateTangent(f"speed enclosure {speed2!r} touches zero")
-    numerator = -z1xx * z2x + z2xx * z1x
-    return numerator / speed2.pow(1.5)

@@ -9,23 +9,28 @@ exactly zero second components and the projection extracts the first
 components of the displayed integrand vectors; the second components still
 enter through |z(x)-z(x-y)|^2 and the inner products.
 
-Four targets cover the four validation regimes:
+Each validation regime has one integrand:
 
 * vortex (alpha = 0): the log-free, integrated-by-parts kernel,
 * small alpha: the alpha-derivative of the scaled integrand (DI),
-* big alpha: the scaled integrand itself,
-* very big alpha: the tilde-regularized integrand whose tangent-kernel
-  counter-terms make it well defined up to alpha = 2.  Their coefficient
-  vectors at x = pi have zero first components, so they contribute exactly
-  zero to the projection; they are still assembled as displayed and the
-  cancellation is asserted in tests rather than exploited silently.
+* big and very big alpha: the scaled integrand itself.
+
+The paper's very-big-alpha integrand adds tangent-kernel counter-terms
+sgn(y) |2 tan(y/2)|^{1-alpha} times coefficient vectors built from the
+z-derivatives at x = pi.  Those vectors have exactly zero first components,
+so the projection sends every counter-term to zero and the very-big-alpha
+integrand equals the scaled one; it is evaluated as such.
+``test_counterterms_project_to_zero`` checks the identity against the
+term-by-term mpmath oracle.  The regimes still differ in their window
+residual.
 
 The singularity window [-1/128, 1/128] is never evaluated pointwise: its
 contribution is bounded through mean-value substitutions
 |d^k z(a) - d^k z(b)| <= |a-b| |d^{k+1} z([a,b])| (second-order Taylor with
-the vanishing limit derivatives in the tilde regime), with the bump-side
-derivative enclosures coming from the monotone hulls, and the resulting
-|y|-power and log-weighted integrals evaluated in closed form per regime.
+the vanishing limit derivatives in the very-big-alpha regime), with the
+bump-side derivative enclosures coming from the monotone hulls, and the
+resulting |y|-power and log-weighted integrals evaluated in closed form per
+regime.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from typing import Optional
 from .interval import Interval, DomainViolation, SignOutcome, PI, TWO_PI, ZERO
 from .jets import Jet4
 from .curves import (
+    EPS_ZONE,
     AxisRatio,
     Bump,
     ZoneViolation,
@@ -45,16 +51,14 @@ from .curves import (
     z2_derivs,
     z1_derivs,
 )
-from .signcheck import SignTask, SignResult, validate_sign
+from .signcheck import DEFAULT_MIN_WIDTH, SignTask, SignResult, validate_sign
 
 __all__ = [
     "ALPHA_CR",
     "ALPHA_BR",
     "WINDOW_HALF",
     "Regime",
-    "Target",
     "IntegrandSpec",
-    "kt_scaled_integrand",
     "make_kt_integrand",
     "singular_residual",
     "ellipse_rotation_integrand",
@@ -64,7 +68,9 @@ __all__ = [
 
 ALPHA_CR = 0.04
 ALPHA_BR = 1.95
-WINDOW_HALF = 1.0 / 128.0
+# the window residual is bounded through the endpoint-zone hulls, so the
+# default window is the whole zone
+WINDOW_HALF = EPS_ZONE
 
 
 class Regime(Enum):
@@ -74,30 +80,13 @@ class Regime(Enum):
     VERY_BIG_ALPHA = "very_big_alpha"
 
 
-class Target(Enum):
-    I_SCALED = "I_scaled"
-    DI_SCALED = "DI_scaled"
-    I_TILDE_SCALED = "I_tilde_scaled"
-
-
-_REGIME_TARGET = {
-    Regime.VORTEX: Target.I_SCALED,
-    Regime.SMALL_ALPHA: Target.DI_SCALED,
-    Regime.BIG_ALPHA: Target.I_SCALED,
-    Regime.VERY_BIG_ALPHA: Target.I_TILDE_SCALED,
-}
-
-
 @dataclass(frozen=True)
 class IntegrandSpec:
     regime: Regime
     alpha: Interval
     curve: Bump
-    target: Target
 
     def __post_init__(self):
-        if _REGIME_TARGET[self.regime] != self.target:
-            raise ValueError(f"target {self.target} does not match regime {self.regime}")
         if self.regime == Regime.VORTEX:
             if not (self.alpha.lo == 0.0 == self.alpha.hi):
                 raise ValueError("vortex regime needs alpha = [0, 0]")
@@ -106,7 +95,7 @@ class IntegrandSpec:
 
     @classmethod
     def for_regime(cls, regime, alpha, curve):
-        return cls(regime, alpha, curve, _REGIME_TARGET[regime])
+        return cls(regime, alpha, curve)
 
 
 class _PointData:
@@ -116,13 +105,6 @@ class _PointData:
         w = PI - c_phase
         self.s = w.sin()  # z2_x-perp weight; equals sin(C) > 0
         self.c = w.cos()  # equals -cos(C) < 0
-        # z-derivatives at pi: bump components are exact limits (0 beyond
-        # order zero), the sine components cycle
-        self.zx = (ZERO, self.c)
-        self.zxx = (ZERO, -self.s)
-        self.zxxx = (ZERO, -self.c)
-        self.zxxxx = (ZERO, self.s)
-        self.speed2 = self.c.sqr()  # |z_x(pi)|^2
 
 
 def _side_of(value):
@@ -142,9 +124,8 @@ def _dot(a, b):
 def _pieces(spec, pt, y):
     """Shared differences and inner products at offset y (jet or interval)."""
     d0 = y.d0 if isinstance(y, Jet4) else y
-    side = _side_of(d0)
     u = PI - y
-    if side < 0:
+    if _side_of(d0) < 0:
         u = u - TWO_PI
     z1 = z1_derivs(u, 3)
     z2 = z2_derivs(u, 3, spec.curve.c_phase)
@@ -153,7 +134,7 @@ def _pieces(spec, pt, y):
     dzxx = (-z1[2], -pt.s - z2[2])
     dzxxx = (-z1[3], -pt.c - z2[3])
     q = dz[0].sqr() + dz[1].sqr()
-    return side, z1, z2, dz, dzx, dzxx, dzxxx, q
+    return z1, z2, dz, dzx, dzxx, dzxxx, q
 
 
 def _project(pt, zxt1, zxxt1):
@@ -162,7 +143,7 @@ def _project(pt, zxt1, zxxt1):
 
 
 def _vortex(spec, pt, y):
-    side, z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
+    z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
     zxu = (z1[1], z2[1])
     dz_zxu = _dot(dz, zxu)
     dz_dzx = _dot(dz, dzx)
@@ -188,8 +169,8 @@ def _alpha_kernels(spec, q):
     return p_a, p_2a, p_4a
 
 
-def _big_alpha_parts(spec, pt, y):
-    side, z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
+def _big_alpha(spec, pt, y):
+    z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
     a = spec.alpha
     p_a, p_2a, p_4a = _alpha_kernels(spec, q)
     dz_dzx = _dot(dz, dzx)
@@ -203,16 +184,11 @@ def _big_alpha_parts(spec, pt, y):
         + dzx[0] * dz_dzx.sqr() * p_4a * (a * (a + 2.0))
         - dzx[0] * dz_dzxx * p_2a * a
     )
-    return side, q, zxt1, zxxt1
-
-
-def _big_alpha(spec, pt, y):
-    _, _, zxt1, zxxt1 = _big_alpha_parts(spec, pt, y)
     return _project(pt, zxt1, zxxt1)
 
 
 def _small_alpha(spec, pt, y):
-    side, z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
+    z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
     a = spec.alpha
     p_a, p_2a, p_4a = _alpha_kernels(spec, q)
     ld = q.log() * 0.5  # log |dz|
@@ -238,54 +214,23 @@ def _small_alpha(spec, pt, y):
     return _project(pt, zxt1, zxxt1)
 
 
-def _tilde(spec, pt, y):
-    side, q, zxt1, zxxt1 = _big_alpha_parts(spec, pt, y)
-    a = spec.alpha
-    # tangent-kernel counter-terms: sgn(y) / |2 tan(y/2)|^{alpha-1}
-    tan_abs = abs(y.half().tan() * 2.0)
-    s_ct = tan_abs.pow(-(a - 1.0)) * float(side)
-    nq = pt.speed2
-    n_a = nq.pow(a * -0.5)
-    n_2a = n_a / nq
-    n_4a = n_2a / nq
-    xx_x = _dot(pt.zxx, pt.zx)
-    xxx_x = _dot(pt.zxxx, pt.zx)
-    xx_sq = _dot(pt.zxx, pt.zxx)
-    # first components of the x-point vectors are exact zeros, so every
-    # counter-term below is an exact zero interval; kept as displayed
-    zxt1 = zxt1 - pt.zxxx[0] * n_a * s_ct + pt.zxx[0] * n_2a * xx_x * s_ct * a
-    zxxt1 = (
-        zxxt1
-        - pt.zxxxx[0] * n_a * s_ct
-        + pt.zxxx[0] * n_2a * xx_x * s_ct * (a * 2.0)
-        + pt.zxx[0] * n_2a * xx_sq * s_ct * a
-        - pt.zxx[0] * n_4a * xx_x.sqr() * s_ct * (a * (a + 2.0))
-        + pt.zxx[0] * n_2a * xxx_x * s_ct * a
-    )
-    return _project(pt, zxt1, zxxt1)
+_INTEGRANDS = {
+    Regime.VORTEX: _vortex,
+    Regime.SMALL_ALPHA: _small_alpha,
+    Regime.BIG_ALPHA: _big_alpha,
+    Regime.VERY_BIG_ALPHA: _big_alpha,
+}
 
 
 def make_kt_integrand(spec):
-    """Closure evaluating the requested target; generic over Jet4/Interval."""
+    """Closure evaluating the regime's integrand; generic over Jet4/Interval."""
     pt = _PointData(spec.curve.c_phase)
-    if spec.regime == Regime.VORTEX:
-        fn = _vortex
-    elif spec.target == Target.DI_SCALED:
-        fn = _small_alpha
-    elif spec.target == Target.I_TILDE_SCALED:
-        fn = _tilde
-    else:
-        fn = _big_alpha
+    fn = _INTEGRANDS[spec.regime]
 
     def integrand(y):
         return fn(spec, pt, y)
 
     return integrand
-
-
-def kt_scaled_integrand(spec, y):
-    """One-shot evaluation of the target integrand at ``y``."""
-    return make_kt_integrand(spec)(y)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +359,8 @@ def _residual_half(spec, pt, side, r):
         log_at_r = -((mroot * r).log())  # positive
         log_int = rp * (log_at_r / two_m_a + 1.0 / two_m_a.sqr())
         return _symmetric((c1 * plain_int + c2 * log_int).hi)
-    # very big alpha: tilde counter-terms project to exactly zero at x = pi;
-    # second-order Taylor around pi (limit derivatives vanish) gives the
-    # extra power of y
+    # very big alpha: second-order Taylor around pi (the limit derivatives
+    # vanish) gives the extra power of y that keeps the bound finite
     z = _ZoneBounds.build(spec.curve, side, r, 5)
     g_a = z.den.pow(a * -0.5)
     g_2a = g_a / z.den
@@ -460,12 +404,8 @@ def ellipse_rotation_integrand(alpha, axis_ratio, y):
     if not 0.0 < r < 1.0:
         raise ValueError("axis ratio must lie in (0,1)")
     half = y.half()
-    if isinstance(half, Jet4):
-        s, c = half.sin_cos()
-        cy = y.cos()
-    else:
-        s, c = half.sin(), half.cos()
-        cy = y.cos()
+    s, c = half.sin(), half.cos()
+    cy = y.cos()
     two_m_a = 2.0 - alpha
     p = alpha * 0.5 + 1.0
     d_minus = (1.0 - cy * r).pow(-p)
@@ -529,7 +469,7 @@ def _upper_zone_nonneg(alpha, r, delta):
     return 0.0 < lo and lo < math.pi / 2 and delta > 0.0
 
 
-def ellipse_rotation_check(alpha, axis_ratio, delta=WINDOW_HALF, min_width=2e-10):
+def ellipse_rotation_check(alpha, axis_ratio, delta=WINDOW_HALF, min_width=DEFAULT_MIN_WIDTH):
     """Certify positivity of the rotation-difference integral.
 
     The integrand is certified strictly positive on [delta, pi/2 - delta]

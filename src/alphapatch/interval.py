@@ -81,10 +81,6 @@ class Interval:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def point(cls, x):
-        return cls(x, x)
-
-    @classmethod
     def around(cls, x):
         """Smallest interval strictly containing the real whose nearest
         double is ``x`` (one ulp out on both sides)."""
@@ -118,12 +114,6 @@ class Interval:
     def is_subset(self, other):
         return other.lo <= self.lo and self.hi <= other.hi
 
-    def is_positive(self):
-        return self.lo > 0.0
-
-    def is_negative(self):
-        return self.hi < 0.0
-
     def straddles_zero(self):
         return self.lo <= 0.0 <= self.hi
 
@@ -132,13 +122,6 @@ class Interval:
 
     def hull(self, other):
         return _mk(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def intersect(self, other):
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection")
-        return _mk(lo, hi)
 
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -236,9 +219,6 @@ class Interval:
         if self.hi <= 0.0:
             return _mk(-self.hi, -self.lo)
         return _mk(0.0, max(-self.lo, self.hi))
-
-    def abs(self):
-        return self.__abs__()
 
     def half(self):
         """x/2 without outward padding (halving a double is exact)."""

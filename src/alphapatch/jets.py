@@ -226,9 +226,6 @@ class Jet4:
             return -self
         raise DomainViolation("abs of a jet whose value interval straddles 0")
 
-    def abs(self):
-        return self.__abs__()
-
     def half(self):
         """Exact halving of every coefficient."""
         return Jet4(tuple(c.half() for c in self.c))

@@ -3,7 +3,7 @@
 Each :class:`ParameterSet` is one unit of proof: an alpha interval, a phase
 constant, the singularity window, and quadrature tolerances.  Processing one
 set selects the validation regime, certifies the zone-monotonicity facts the
-window bounds rely on, integrates the regime's target over the bounded
+window bounds rely on, integrates the regime's integrand over the bounded
 region with validated quadrature, adds the window residual, and turns the
 total enclosure into a verdict.  Indeterminate verdicts are split in alpha
 and re-queued until the split threshold is reached; every verdict lands in
@@ -24,21 +24,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .interval import Interval, SignOutcome, PI
-from .jets import Jet4
-from .curves import Bump
+from .curves import ZONE_LEFT, ZONE_RIGHT, Bump, lemma_poly
 from .quadrature import Tolerance, adaptive_integrate
-from .signcheck import SignTask, validate_sign
+from .signcheck import DEFAULT_MIN_WIDTH, SignTask, validate_sign
 from .integrands import (
     ALPHA_CR,
     ALPHA_BR,
     WINDOW_HALF,
     IntegrandSpec,
     Regime,
-    Target,
     make_kt_integrand,
     singular_residual,
 )
-from .curves import ZONE_LEFT, ZONE_RIGHT, lemma_poly
 
 __all__ = [
     "ParameterSet",
@@ -48,11 +45,15 @@ __all__ = [
     "regime_select",
     "process",
     "run_queue",
+    "zone_fact_tasks",
     "write_region_files",
     "REGION_HEADER",
 ]
 
 REGION_HEADER = ["C", "alpha_lo", "alpha_hi", "regime", "enc_lo", "enc_hi", "verdict"]
+
+# alpha intervals still indeterminate are split until narrower than this
+SPLIT_THRESHOLD = 5e-6
 
 
 class StraddlesBoundary(ValueError):
@@ -69,9 +70,9 @@ class ParameterSet:
     c_phase: Interval
     left: Interval = field(default_factory=lambda: Interval(-WINDOW_HALF))
     right: Interval = field(default_factory=lambda: Interval(WINDOW_HALF))
-    abs_tol: float = 1e-6
-    rel_tol: float = 1e-6
-    max_depth: int = 13
+    abs_tol: float = Tolerance.abs_tol
+    rel_tol: float = Tolerance.rel_tol
+    max_depth: int = Tolerance.max_depth
 
     @classmethod
     def for_phase(cls, alpha_lo, alpha_hi, c_phase, **kw):
@@ -122,6 +123,7 @@ def regime_select(alpha):
     raise StraddlesBoundary(f"alpha {alpha!r} crosses a regime boundary")
 
 
+# expected (left zone, right zone) sign of each d_k
 _ZONE_FACT_SIGNS = {
     1: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_NEGATIVE),
     2: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_POSITIVE),
@@ -131,10 +133,21 @@ _ZONE_FACT_SIGNS = {
     6: (SignOutcome.ALL_POSITIVE, SignOutcome.ALL_POSITIVE),
 }
 
+
+def zone_fact_tasks(min_width=DEFAULT_MIN_WIDTH):
+    """The twelve named d_1..d_6 zone-sign tasks, ``d{k}:left``/``d{k}:right``."""
+    tasks = []
+    for k, (left_sign, right_sign) in _ZONE_FACT_SIGNS.items():
+        f = lambda x, k=k: lemma_poly(f"d{k}", x)
+        tasks.append((f"d{k}:left", SignTask(f, ZONE_LEFT, min_width, left_sign)))
+        tasks.append((f"d{k}:right", SignTask(f, ZONE_RIGHT, min_width, right_sign)))
+    return tasks
+
+
 _zone_facts_ok = False
 
 
-def ensure_zone_facts(min_width=2e-10):
+def ensure_zone_facts(min_width=DEFAULT_MIN_WIDTH):
     """Certify the d_1..d_6 zone signs that legitimize hull enclosures.
 
     The polynomials do not involve the phase constant, so one certification
@@ -143,25 +156,20 @@ def ensure_zone_facts(min_width=2e-10):
     global _zone_facts_ok
     if _zone_facts_ok:
         return
-    for k, (left_expected, right_expected) in _ZONE_FACT_SIGNS.items():
-        f = lambda x, k=k: lemma_poly(f"d{k}", x)
-        for zone, expected in ((ZONE_LEFT, left_expected), (ZONE_RIGHT, right_expected)):
-            res = validate_sign(SignTask(f, zone, min_width, expected))
-            if res.outcome != expected:
-                raise ZoneFactsFailed(f"d{k} on {zone!r}: got {res.outcome}")
+    for name, task in zone_fact_tasks(min_width):
+        res = validate_sign(task)
+        if res.outcome != task.expected:
+            raise ZoneFactsFailed(f"{name}: got {res.outcome}")
     _zone_facts_ok = True
 
 
 def _sliver_bound(f, lo, hi, width):
     """Enclosure of the integral over a sliver of at most one-ulp width."""
-    value = f(Interval(lo, hi))
-    if isinstance(value, Jet4):
-        value = value.d0
-    return width * value.hull(Interval(0.0))
+    return width * f(Interval(lo, hi)).hull(Interval(0.0))
 
 
 def process(ps):
-    """Certify the sign of the regime target for one ParameterSet."""
+    """Certify the sign of the regime's integral for one ParameterSet."""
     regime = regime_select(ps.alpha)
     ensure_zone_facts()
     curve = Bump(ps.c_phase)
@@ -174,17 +182,13 @@ def process(ps):
     total = adaptive_integrate(f, right_f, p, tol).enclosure
     total = total + adaptive_integrate(f, -p, left_f, tol).enclosure
     # the one-ulp slivers [math.pi, pi] and [-pi, -math.pi]: the integrand is
-    # regular there (x - y is near 0).  The tilde counter-kernel alone is
-    # singular at y = pi, but its projection is exactly zero (tested
-    # invariant), so the sliver bound may use the plain target
-    if regime == Regime.VERY_BIG_ALPHA:
-        sliver_spec = IntegrandSpec(Regime.BIG_ALPHA, ps.alpha, curve, Target.I_SCALED)
-        sliver_f = make_kt_integrand(sliver_spec)
-    else:
-        sliver_f = f
+    # regular there (x - y is near 0), in every regime.  The very-big-alpha
+    # counter-kernel sgn(y)/|2 tan(y/2)|^{alpha-1}, singular at y = pi, is not
+    # evaluated: its projection at x = pi is exactly zero, which
+    # test_counterterms_project_to_zero checks against the mpmath oracle
     sliver_width = Interval(0.0, PI.hi - p)
-    total = total + _sliver_bound(sliver_f, p, PI.hi, sliver_width)
-    total = total + _sliver_bound(sliver_f, -PI.hi, -p, sliver_width)
+    total = total + _sliver_bound(f, p, PI.hi, sliver_width)
+    total = total + _sliver_bound(f, -PI.hi, -p, sliver_width)
     total = total + singular_residual(spec, left_f, right_f)
     if total.lo > 0.0:
         outcome = SignOutcome.ALL_POSITIVE
@@ -239,8 +243,8 @@ def _drain_queue(initial, split_threshold):
     return rows
 
 
-def run_queue(initial, split_threshold=5e-6, workers=1, out_dir=None):
-    """Process ParameterSets until classified; optionally write region files.
+def run_queue(initial, split_threshold=SPLIT_THRESHOLD, workers=1):
+    """Process ParameterSets until classified.
 
     Returns the verdict rows sorted by (phase, alpha.lo).  With several
     workers the initial sets are sharded across processes; each worker owns
@@ -259,8 +263,6 @@ def run_queue(initial, split_threshold=5e-6, workers=1, out_dir=None):
             for fut in futures:
                 rows.extend(fut.result())
     rows.sort(key=lambda v: (v.ps.c_phase.mid(), v.ps.alpha.lo, v.ps.alpha.hi))
-    if out_dir is not None:
-        write_region_files(rows, out_dir)
     return rows
 
 

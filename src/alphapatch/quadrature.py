@@ -76,10 +76,7 @@ def gl2_enclosure(f, a, b):
 def _order0_enclosure(f, a, b):
     # integrands are generic over Jet4 and Interval scalars; plain interval
     # evaluation survives some jet-level failures (abs across zero, ...)
-    value = f(Interval(a, b))
-    if isinstance(value, Jet4):
-        value = value.d0
-    return (Interval(b) - Interval(a)) * value
+    return (Interval(b) - Interval(a)) * f(Interval(a, b))
 
 
 def adaptive_integrate(f, a, b, tol=Tolerance()):

@@ -56,9 +56,6 @@ class SignResult:
     witness: Optional[CertRow] = None
     evaluations: int = 0
 
-    def matches(self, expected):
-        return self.outcome == expected
-
 
 def validate_sign(task):
     """Certify the sign of ``task.f`` on ``task.domain``.

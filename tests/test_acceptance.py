@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 
 from alphapatch.interval import Interval, SignOutcome
 from alphapatch.jets import Jet4
-from alphapatch.curves import Bump, EPS_ZONE, curve_deriv, z1_derivs
+from alphapatch.curves import EPS_ZONE, z1_derivs
 from alphapatch.quadrature import Tolerance, adaptive_integrate
 from alphapatch.integrands import ellipse_rotation_check
 from alphapatch.pipeline import ParameterSet, run_queue
@@ -250,12 +250,11 @@ def test_criterion_9_time_reversibility():
 
 
 def test_criterion_10_derivative_coherence():
-    c15 = Bump.from_float(0.15)
     rnd = random.Random(1001)
     for _ in range(100):
         x0 = rnd.uniform(-math.pi + EPS_ZONE, math.pi - EPS_ZONE)
         X = Interval(x0)
-        direct = [curve_deriv(c15, k, X)[0] for k in range(6)]
+        direct = z1_derivs(X, 5)
         jet0 = z1_derivs(Jet4.variable(X), 0)[0]
         for k in range(5):
             jk = jet0.deriv(k)
@@ -266,11 +265,11 @@ def test_criterion_10_derivative_coherence():
     for _ in range(25):
         x0 = rnd.uniform(-2.8, 2.8)
         for k in range(1, 5):
-            lo_v = curve_deriv(c15, k - 1, Interval(x0 - h))[0]
-            hi_v = curve_deriv(c15, k - 1, Interval(x0 + h))[0]
+            lo_v = z1_derivs(Interval(x0 - h), k - 1)[k - 1]
+            hi_v = z1_derivs(Interval(x0 + h), k - 1)[k - 1]
             fd = (hi_v.mid() - lo_v.mid()) / (2 * h)
-            enc = curve_deriv(c15, k, Interval(x0))[0]
-            trunc = curve_deriv(c15, min(k + 2, 6), Interval(x0))[0].mag()
+            enc = z1_derivs(Interval(x0), k)[k]
+            trunc = z1_derivs(Interval(x0), 6)[min(k + 2, 6)].mag()
             budget = h * h * trunc / 6 * 1.5 + 1e-9 * (1.0 + abs(fd))
             assert enc.lo - budget <= fd <= enc.hi + budget, (x0, k)
     print("[PASS] criterion 10: jet and closed-form derivative paths coherent")

@@ -1,0 +1,57 @@
+"""Contract between the package and the benchmark in ``perfbench/``.
+
+The traced benchmark pass rebinds package functions by module and name
+(``perfbench/tracing.py``), and the quick tier calls leaf APIs directly
+(``perfbench/micro.py``).  A rename that breaks either fails here rather
+than in the benchmark run.
+"""
+
+import json
+import math
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import micro  # noqa: E402
+import tracing  # noqa: E402
+
+from alphapatch import cli  # noqa: E402
+
+# rebound by name in the traced pass; the region writer and the queue are
+# reached through cli, the integrand factory through pipeline
+REQUIRED = {
+    ("alphapatch.cli", "write_region_files"),
+    ("alphapatch.cli", "run_queue"),
+    ("alphapatch.pipeline", "make_kt_integrand"),
+    ("alphapatch.cli", "validate_sign"),
+    ("alphapatch.pipeline", "validate_sign"),
+    ("alphapatch.integrands", "validate_sign"),
+}
+
+
+def test_tracer_installs_runs_and_uninstalls(tmp_path, capsys):
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    patched = list(tracer._patched)
+    try:
+        assert REQUIRED <= {(m.__name__, attr) for m, attr, _ in patched}
+        code = cli.main(["prove-lemma", "--only", "d1:left", "--out-dir", str(tmp_path)])
+        assert code == 0
+    finally:
+        tracer.uninstall()
+    for module, attr, original in patched:
+        assert getattr(module, attr) is original, (module.__name__, attr)
+    names = {span[1] for span in tracer.spans}
+    assert {"cli.main", "cli.cmd_prove_lemma", "signcheck.validate_sign"} <= names
+    metrics = tracing.rollup(tracer, wall_s=1.0)
+    assert metrics["signcheck.evaluations"] > 0
+
+
+def test_micro_quick_tier_reports_declared_metrics():
+    metrics = micro.run(1, 0.05)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert set(metrics) <= declared
+    assert all(math.isfinite(v) and v > 0 for v in metrics.values())

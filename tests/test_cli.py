@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from alphapatch import simulator as sim
 from alphapatch.cli import main, config_hash, load_sim_config, lemma_tasks
 
 
@@ -122,6 +123,28 @@ def test_simulate_config_file(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["alpha"] == 0.5
     assert manifest["config_hash"] == config_hash(manifest["config"])
+    assert manifest["halt"] is None
+
+
+def test_simulate_halt_keeps_history(tmp_path, capsys, monkeypatch):
+    def halting_evolve(state, cfg, on_snapshot=None):
+        for t in (0.0, 0.1):
+            on_snapshot(sim.SimState(state.points, t))
+        raise sim.ArcChordCollapse(0.15, 1e-6)
+
+    monkeypatch.setattr(sim, "evolve", halting_evolve)
+    code = main(["simulate", "--set", "shape=circle", "--set", "n=64", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "halted early" in capsys.readouterr().err
+    with open(tmp_path / "diagnostics.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [float(r[0]) for r in rows[1:]] == [0.0, 0.1]
+    with open(tmp_path / "snapshots.csv") as fh:
+        snap_rows = list(csv.reader(fh))[1:]
+    assert [float(r[0]) for r in snap_rows] == [0.0] * 64 + [0.1] * 64
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["halt"]["reason"] == "ArcChordCollapse"
+    assert manifest["halt"]["time"] == 0.15
 
 
 def test_sim_config_rejects_unknown_keys(tmp_path):

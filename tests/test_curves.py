@@ -8,18 +8,15 @@ from alphapatch.interval import Interval, DomainViolation, PI
 from alphapatch.jets import Jet4
 from alphapatch.curves import (
     Bump,
-    Ellipse,
     ZoneViolation,
     EPS_ZONE,
     ZONE_LEFT,
     ZONE_RIGHT,
-    curve_deriv,
     lemma_poly,
     hull_enclosure,
-    curvature,
     bump_envelope,
     z1_derivs,
-    periodic_reduce,
+    z2_derivs,
 )
 
 import oracles
@@ -30,15 +27,22 @@ C15 = Bump.from_float(0.15)
 C45 = Bump.from_float(0.45)
 
 
+def _curvature_numerator(curve, x, z1x, z1xx):
+    """-z1'' z2' + z2'' z1': the sign of the curvature (|z_x| > 0)."""
+    z2 = z2_derivs(x, 2, curve.c_phase)
+    return -z1xx * z2[1] + z2[2] * z1x
+
+
 def test_bump_at_zero():
-    c1, c2 = curve_deriv(C15, 0, Interval(0.0))
+    c1 = z1_derivs(Interval(0.0), 0)[0]
+    c2 = z2_derivs(Interval(0.0), 0, C15.c_phase)[0]
     assert c1.lo <= 1.0 <= c1.hi and c1.width() < 1e-12
     want = float(mp_sin(-mpf("0.15")))
     assert c2.lo <= want <= c2.hi
 
 
 def test_bump_first_derivative_formula():
-    c1, _ = curve_deriv(C15, 1, Interval(1.0))
+    c1 = z1_derivs(Interval(1.0), 1)[1]
     want = -4 * mp_pi**2 * 1 * mp_exp(1 - 1 / (1 - 1 / mp_pi**2)) / (1 - mp_pi**2) ** 4
     # d_1(x) = -4 pi^2 x over (x^2-pi^2)^2
     want = (-4 * mp_pi**2) * mp_exp(1 - 1 / (1 - 1 / mp_pi**2)) / (1 - mp_pi**2) ** 2
@@ -46,24 +50,9 @@ def test_bump_first_derivative_formula():
     assert c1.width() < 1e-12
 
 
-def test_ellipse_second_derivative():
-    e = Ellipse(1.0, 3.0)
-    c1, c2 = curve_deriv(e, 2, PI * 0.5)
-    assert c1.contains(0.0) and c1.width() < 1e-12
-    assert c2.lo <= -3.0 <= c2.hi
-
-
 def test_bump_touching_pi_raises():
     with pytest.raises(DomainViolation):
-        curve_deriv(C15, 1, Interval(math.pi, PI.hi))
-
-
-def test_periodic_reduction():
-    x = Interval(math.pi + 0.5, math.pi + 0.6)
-    r = periodic_reduce(x)
-    assert -math.pi <= r.lo and r.hi <= -math.pi + 0.61
-    c1, _ = curve_deriv(C15, 0, Interval(2 * math.pi), periodic=True)
-    assert c1.lo <= 1.0 <= c1.hi  # z1(2 pi) = z1(0) = 1
+        z1_derivs(Interval(math.pi, PI.hi), 1)
 
 
 def test_kc_at_pi():
@@ -105,7 +94,7 @@ def test_two_derivative_paths_overlap():
     for _ in range(100):
         x0 = rnd.uniform(-math.pi + EPS_ZONE, math.pi - EPS_ZONE)
         X = Interval(x0)
-        direct = [curve_deriv(C15, k, X)[0] for k in range(6)]
+        direct = z1_derivs(X, 5)
         jet0 = z1_derivs(Jet4.variable(X), 0)[0]
         for k in range(5):
             jk = jet0.deriv(k)
@@ -121,12 +110,12 @@ def test_finite_difference_check():
     for _ in range(40):
         x0 = rnd.uniform(-2.8, 2.8)
         for k in range(1, 5):
-            lo_v = curve_deriv(C15, k - 1, Interval(x0 - h))[0]
-            hi_v = curve_deriv(C15, k - 1, Interval(x0 + h))[0]
+            lo_v = z1_derivs(Interval(x0 - h), k - 1)[k - 1]
+            hi_v = z1_derivs(Interval(x0 + h), k - 1)[k - 1]
             fd = (hi_v.mid() - lo_v.mid()) / (2 * h)
-            enc = curve_deriv(C15, k, Interval(x0))[0]
+            enc = z1_derivs(Interval(x0), k)[k]
             # central-difference truncation is h^2/6 * next-next derivative
-            trunc = curve_deriv(C15, min(k + 2, 6), Interval(x0))[0].mag()
+            trunc = z1_derivs(Interval(x0), 6)[min(k + 2, 6)].mag()
             budget = h * h * trunc / 6 * 1.5 + 1e-9 * (1.0 + abs(fd))
             assert enc.lo - budget <= fd <= enc.hi + budget, (x0, k)
 
@@ -175,15 +164,10 @@ def test_hull_contains_direct_values():
 
 
 def test_curvature_zero_at_pi():
-    enc = curvature(C45, Interval(PI.lo, PI.hi))
+    X = Interval(PI.lo, PI.hi)
+    enc = _curvature_numerator(C45, X, hull_enclosure(C45, 1, X), hull_enclosure(C45, 2, X))
     assert enc.contains(0.0)
     assert enc.width() < 1e-12
-
-
-def test_curvature_circle():
-    for r in (0.5, 1.0, 2.0):
-        enc = curvature(Ellipse(r, r), Interval(0.3, 0.9))
-        assert enc.lo <= 1.0 / r <= enc.hi
 
 
 def test_curvature_numerator_identity():
@@ -192,11 +176,8 @@ def test_curvature_numerator_identity():
     for _ in range(50):
         x0 = rnd.uniform(-2.9, 2.9)
         X = Interval(x0)
-        z1x = curve_deriv(C15, 1, X)[0]
-        z1xx = curve_deriv(C15, 2, X)[0]
-        _, z2x = curve_deriv(C15, 1, X)
-        _, z2xx = curve_deriv(C15, 2, X)
-        numerator = -z1xx * z2x + z2xx * z1x
+        z1 = z1_derivs(X, 2)
+        numerator = _curvature_numerator(C15, X, z1[1], z1[2])
         # the curvature numerator equals k_C(x) E(x) / (x^2-pi^2)^4; the
         # denominator is positive so the sign story is unchanged
         ident = (
@@ -208,5 +189,6 @@ def test_curvature_numerator_identity():
 
 
 def test_bump_positive_curvature_away_from_pi():
-    enc = curvature(C15, Interval(0.0, 0.1))
-    assert enc.lo > 0
+    X = Interval(0.0, 0.1)
+    z1 = z1_derivs(X, 2)
+    assert _curvature_numerator(C15, X, z1[1], z1[2]).lo > 0

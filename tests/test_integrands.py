@@ -12,9 +12,7 @@ from alphapatch.integrands import (
     ALPHA_BR,
     IntegrandSpec,
     Regime,
-    Target,
     make_kt_integrand,
-    kt_scaled_integrand,
     singular_residual,
     ellipse_rotation_integrand,
     ellipse_rotation_check,
@@ -31,14 +29,17 @@ def _spec(regime, alo, ahi=None, curve=C15):
 
 
 def test_regime_target_matching():
-    assert _spec(Regime.VORTEX, 0.0).target == Target.I_SCALED
-    assert _spec(Regime.SMALL_ALPHA, 0.02).target == Target.DI_SCALED
-    assert _spec(Regime.BIG_ALPHA, 1.0).target == Target.I_SCALED
-    assert _spec(Regime.VERY_BIG_ALPHA, 1.97).target == Target.I_TILDE_SCALED
-    with pytest.raises(ValueError):
-        IntegrandSpec(Regime.BIG_ALPHA, Interval(1.0), C15, Target.DI_SCALED)
+    """Big and very big alpha share the scaled target; small alpha takes its
+    alpha-derivative; each regime checks its alpha."""
+    y = Interval(1.3)
+    big = make_kt_integrand(_spec(Regime.BIG_ALPHA, 1.97))(y)
+    assert make_kt_integrand(_spec(Regime.VERY_BIG_ALPHA, 1.97))(y) == big
+    small = make_kt_integrand(_spec(Regime.SMALL_ALPHA, 0.02))(y)
+    assert small != make_kt_integrand(_spec(Regime.BIG_ALPHA, 0.02))(y)
     with pytest.raises(ValueError):
         IntegrandSpec.for_regime(Regime.VORTEX, Interval(0.5), C15)
+    with pytest.raises(ValueError):
+        IntegrandSpec.for_regime(Regime.VERY_BIG_ALPHA, Interval(1.99, 2.0), C15)
 
 
 def test_window_straddle_rejected():
@@ -111,18 +112,23 @@ def test_oracle_containment_500_samples():
     mp.dps = 30
 
 
-def test_tilde_minus_base_is_counterterm():
-    """At the evaluation point the projected counter-terms vanish exactly,
-    so the tilde and plain targets coincide pointwise."""
-    a = Interval(1.9)
-    f_tilde = make_kt_integrand(_spec(Regime.VERY_BIG_ALPHA, 1.9))
-    spec_base = IntegrandSpec(Regime.BIG_ALPHA, a, C15, Target.I_SCALED)
-    f_base = make_kt_integrand(spec_base)
-    for y in (0.3, 1.0, -2.2, 3.0):
-        t = f_tilde(Interval(y))
-        b = f_base(Interval(y))
-        assert t.hi >= b.lo and b.hi >= t.lo
-        assert abs(t.mid() - b.mid()) <= 1e-12 * max(1.0, abs(t.mid()))
+def test_counterterms_project_to_zero():
+    """The tilde integrand minus the scaled one is the projected tangent
+    counter-terms, which vanish at x = pi: the very-big-alpha regime may
+    evaluate the scaled integrand.  Checked on the term-by-term mpmath
+    oracle."""
+    mp.dps = 60
+    try:
+        for c in ("0.15", "0.45"):
+            zk = oracles.make_curve(mpf(c))
+            for a in ("1.95", "1.96", "1.98", "1.999"):
+                for y in ("0.05", "0.7", "-1.3", "2.9", "-3.1"):
+                    a_mp, y_mp = mpf(a), mpf(y)
+                    tilde = oracles.integrand_tilde_full(zk, y_mp, a_mp)
+                    base = oracles.integrand_alpha(zk, y_mp, a_mp)
+                    assert abs(tilde - base) < mpf("1e-40"), (c, a, y)
+    finally:
+        mp.dps = 30
 
 
 def test_counterterm_odd_cancellation():
@@ -143,8 +149,8 @@ def test_dalpha_matches_alpha_derivative():
     y = Interval(1.3)
     for a0 in (0.02, 0.03):
         f_di = make_kt_integrand(_spec(Regime.SMALL_ALPHA, a0))
-        spec_p = IntegrandSpec(Regime.BIG_ALPHA, Interval(a0 + h), C15, Target.I_SCALED)
-        spec_m = IntegrandSpec(Regime.BIG_ALPHA, Interval(a0 - h), C15, Target.I_SCALED)
+        spec_p = IntegrandSpec(Regime.BIG_ALPHA, Interval(a0 + h), C15)
+        spec_m = IntegrandSpec(Regime.BIG_ALPHA, Interval(a0 - h), C15)
         fp = make_kt_integrand(spec_p)(y)
         fm = make_kt_integrand(spec_m)(y)
         fd = (fp.mid() - fm.mid()) / (2 * h)
@@ -225,6 +231,6 @@ def test_axis_ratio_from_semiaxes():
 
 
 def test_kt_scaled_integrand_single_call():
-    enc = kt_scaled_integrand(_spec(Regime.VORTEX, 0.0), Interval(2.0))
+    enc = make_kt_integrand(_spec(Regime.VORTEX, 0.0))(Interval(2.0))
     want = -0.2994245680433803336357
     assert enc.lo <= want <= enc.hi

@@ -11,6 +11,7 @@ from alphapatch.pipeline import (
     regime_select,
     process,
     run_queue,
+    write_region_files,
     ensure_zone_facts,
     REGION_HEADER,
 )
@@ -86,9 +87,8 @@ def test_run_queue_splits_straddling_interval():
 
 
 def test_region_files_roundtrip(tmp_path):
-    rows = run_queue(
-        [ParameterSet.for_phase(0.0, 0.0, 0.15)], out_dir=str(tmp_path)
-    )
+    rows = run_queue([ParameterSet.for_phase(0.0, 0.0, 0.15)])
+    write_region_files(rows, str(tmp_path))
     neg = tmp_path / "negative.csv"
     pos = tmp_path / "positive.csv"
     ind = tmp_path / "indeterminate.csv"
@@ -114,8 +114,8 @@ def test_no_alpha_interval_in_both_files(tmp_path):
             ParameterSet.for_phase(0.0, 0.0, 0.15),
             ParameterSet.for_phase(1.0, 1.0001, 0.15, abs_tol=1e-4, rel_tol=1e-4),
         ],
-        out_dir=str(tmp_path),
     )
+    write_region_files(rows, str(tmp_path))
     def spans(path):
         with open(path) as fh:
             reader = csv.reader(fh)
