@@ -191,6 +191,28 @@ def full_sweep_intervals(step):
     return intervals
 
 
+def _quadrature_work(rows):
+    """Per verdict row and in total: accepted quadrature cells, order-4 jet
+    evaluations, and whether the depth cap was hit (for the manifest)."""
+    sets = [
+        {
+            "c_phase": v.ps.c_phase.mid(),
+            "alpha_lo": v.ps.alpha.lo,
+            "alpha_hi": v.ps.alpha.hi,
+            "cells": v.cells,
+            "jet_evaluations": v.jet_evaluations,
+            "max_depth_hit": v.max_depth_hit,
+        }
+        for v in rows
+    ]
+    total = {
+        "cells": sum(v.cells for v in rows),
+        "jet_evaluations": sum(v.jet_evaluations for v in rows),
+        "max_depth_hit_sets": sum(v.max_depth_hit for v in rows),
+    }
+    return {"sets": sets, "total": total}
+
+
 def cmd_prove_convexity(args):
     started = _utc_now()
     if args.full_sweep:
@@ -239,7 +261,12 @@ def cmd_prove_convexity(args):
         "full_sweep": args.full_sweep,
     }
     manifest = write_manifest(
-        args.out_dir, "prove-convexity", pairs, list(p for p in paths.values()), started
+        args.out_dir,
+        "prove-convexity",
+        pairs,
+        list(p for p in paths.values()),
+        started,
+        quadrature=_quadrature_work(rows),
     )
     print(f"manifest: {manifest}")
     return 1 if unresolved else 0
@@ -317,7 +344,7 @@ def write_snapshots_csv(path, snapshots):
         fh.write("t,x_index,z1,z2\n")
         for snap in snapshots:
             for i, (z1, z2) in enumerate(snap.points):
-                fh.write(f"{snap.time:.10g},{i},{z1!r},{z2!r}\n")
+                fh.write(f"{snap.time:.10g},{i},{float(z1)!r},{float(z2)!r}\n")
 
 
 def write_diagnostics_csv(path, diags):

@@ -85,6 +85,11 @@ class RegionVerdict:
     outcome: SignOutcome
     enclosure: Interval | None
     regime: Regime | None
+    # quadrature work over both halves: accepted cells, order-4 jet
+    # evaluations, and whether either half accepted a cell at the depth cap
+    cells: int = 0
+    jet_evaluations: int = 0
+    max_depth_hit: bool = False
 
     def row(self):
         enc_lo = "" if self.enclosure is None else _g17(self.enclosure.lo)
@@ -179,8 +184,8 @@ def process(ps):
     left_f = ps.left.lo
     right_f = ps.right.hi
     p = math.pi
-    total = adaptive_integrate(f, right_f, p, tol).enclosure
-    total = total + adaptive_integrate(f, -p, left_f, tol).enclosure
+    halves = [adaptive_integrate(f, right_f, p, tol), adaptive_integrate(f, -p, left_f, tol)]
+    total = halves[0].enclosure + halves[1].enclosure
     # the one-ulp slivers [math.pi, pi] and [-pi, -math.pi]: the integrand is
     # regular there (x - y is near 0), in every regime.  The very-big-alpha
     # counter-kernel sgn(y)/|2 tan(y/2)|^{alpha-1}, singular at y = pi, is not
@@ -196,7 +201,15 @@ def process(ps):
         outcome = SignOutcome.ALL_NEGATIVE
     else:
         outcome = SignOutcome.INDETERMINATE
-    return RegionVerdict(ps, outcome, total, regime)
+    return RegionVerdict(
+        ps,
+        outcome,
+        total,
+        regime,
+        cells=sum(q.subinterval_count for q in halves),
+        jet_evaluations=sum(q.jet_evaluations for q in halves),
+        max_depth_hit=any(q.max_depth_hit for q in halves),
+    )
 
 
 def _split_alpha(ps, at=None):

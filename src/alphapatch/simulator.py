@@ -18,6 +18,7 @@ parallel freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,10 +138,14 @@ def spectral_derivative(values, order=1, filtered=False, filter_strength=10.0, f
     return np.fft.irfft(spec, n=n, axis=0)
 
 
-def _pairwise(points):
-    diff = points[:, None, :] - points[None, :, :]  # z_i - z_j
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return diff, dist2
+def _dist2(points):
+    """|z_i - z_j|^2, one coordinate at a time (no (N, N, 2) temporary)."""
+    diff = points[:, None, 0] - points[None, :, 0]
+    dist2 = diff * diff
+    np.subtract(points[:, None, 1], points[None, :, 1], out=diff)
+    diff *= diff
+    dist2 += diff
+    return dist2
 
 
 def _even_defect(n, beta):
@@ -169,6 +174,25 @@ def _log_defect(n):
 _ZETA3 = 1.2020569031595943  # zeta(3); zeta'(-2) = -zeta(3)/(4 pi^2)
 
 
+def _kernel_sum(z, zx, alpha):
+    """The O(N^2) trapezoidal sum over j != i of the boundary integral.
+
+    For alpha = 0 it is sum_j log|z_i - z_j| z_x(j); otherwise
+    sum_j K_ij (z_x(i) - z_x(j)) with K_ij = |z_i - z_j|^{-alpha}.
+    """
+    dist2 = _dist2(z)
+    np.fill_diagonal(dist2, 1.0)
+    if alpha == 0.0:
+        logd = 0.5 * np.log(dist2)
+        np.fill_diagonal(logd, 0.0)
+        return logd @ zx
+    kern = dist2 ** (-alpha / 2.0)
+    np.fill_diagonal(kern, 0.0)
+    # sum_j K_ij (z_x(i) - z_x(j)) = (sum_j K_ij) z_x(i) - sum_j K_ij z_x(j):
+    # a row sum and a matrix product, with no (N, N, 2) difference array
+    return kern.sum(1)[:, None] * zx - kern @ zx
+
+
 def velocity(state, cfg):
     """Velocity field on the grid: boundary integral plus tangential term.
 
@@ -184,8 +208,6 @@ def velocity(state, cfg):
     zx = spectral_derivative(z, 1, True, fs, fo)
     zxx = spectral_derivative(z, 2, True, fs, fo)
     zxxx = spectral_derivative(z, 3, True, fs, fo)
-    _, dist2 = _pairwise(z)
-    np.fill_diagonal(dist2, 1.0)
     const = alpha_patch_constant(cfg.alpha, cfg.jump)
     speed2_arr = np.einsum("ik,ik->i", zx, zx)
     if cfg.alpha == 0.0:
@@ -193,17 +215,12 @@ def velocity(state, cfg):
         # term log|2 sin(y/2)| z_x(x) has integral zero but grid sum
         # h log N; the next per-mode defect is zeta'(-2) m^2 h^3, which
         # turns into a z_xxx correction
-        logd = 0.5 * np.log(dist2)
-        np.fill_diagonal(logd, 0.0)
-        raw = const * h * np.einsum("ij,jk->ik", logd, zx)
+        raw = const * h * _kernel_sum(z, zx, 0.0)
         raw = raw + const * _log_defect(n) * zx
         zeta_p2 = -_ZETA3 / (4.0 * math.pi**2)
         raw = raw + const * zeta_p2 * h**3 * zxxx
     else:
-        kern = dist2 ** (-cfg.alpha / 2.0)
-        np.fill_diagonal(kern, 0.0)
-        dzx = zx[:, None, :] - zx[None, :, :]
-        raw = -const * h * np.einsum("ij,ijk->ik", kern, dzx)
+        raw = -const * h * _kernel_sum(z, zx, cfg.alpha)
         # local expansion (z_x(x)-z_x(x-y))/|z(x)-z(x-y)|^alpha =
         # sgn(y)|y|^{1-alpha} (G0 + G1 y + G2 y^2 + G3 y^3 + ...); odd
         # singular orders self-cancel on the symmetric grid, the even ones
@@ -279,21 +296,23 @@ def _periodic_antiderivative(values):
     return np.fft.irfft(out, n=n)
 
 
-def _arc_chord_min_from(dist2, n):
+@functools.lru_cache(maxsize=4)
+def _chord_matrix(n):
+    """|2 sin((x_i - x_j)/2)| on the grid, 1 on the diagonal; read-only."""
     i = np.arange(n)
     param = np.abs(i[:, None] - i[None, :]) * (TWO_PI / n)
     chord = 2.0 * np.abs(np.sin(param / 2.0))
     np.fill_diagonal(chord, 1.0)
-    d = np.sqrt(dist2)
-    np.fill_diagonal(d, 1.0)
-    ratio = d / chord
-    np.fill_diagonal(ratio, np.inf)
-    return float(ratio.min())
+    chord.flags.writeable = False
+    return chord
 
 
 def arc_chord_min(state):
-    _, dist2 = _pairwise(state.points)
-    return _arc_chord_min_from(dist2, state.n)
+    ratio = np.sqrt(_dist2(state.points))
+    np.fill_diagonal(ratio, 1.0)
+    ratio /= _chord_matrix(state.n)
+    np.fill_diagonal(ratio, np.inf)
+    return float(ratio.min())
 
 
 @dataclass

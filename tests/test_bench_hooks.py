@@ -55,3 +55,43 @@ def test_micro_quick_tier_reports_declared_metrics():
         declared = {m["name"] for m in json.load(fh)["per_layer"]}
     assert set(metrics) <= declared
     assert all(math.isfinite(v) and v > 0 for v in metrics.values())
+
+
+def test_traced_evolve_counts_rk_steps(monkeypatch):
+    """The traced pass derives RK step counts from the spans inside
+    ``evolve``: six ``velocity`` calls per attempted step, one
+    ``arc_chord_min`` call up front and one per accepted step."""
+    from alphapatch import simulator as sim
+
+    counts = {"attempted": 0, "filtered": 0}
+    step, floor = sim._rkf45_step, sim._noise_floor_filter
+
+    def counted_step(*args):
+        counts["attempted"] += 1
+        return step(*args)
+
+    def counted_floor(*args):
+        counts["filtered"] += 1  # once up front, then once per accepted step
+        return floor(*args)
+
+    monkeypatch.setattr(sim, "_rkf45_step", counted_step)
+    monkeypatch.setattr(sim, "_noise_floor_filter", counted_floor)
+    cfg = sim.SimConfig(
+        alpha=1.0, t_final=0.2, snapshot_interval=0.1, rk_abs_tol=1e-11, rk_rel_tol=1e-11
+    )
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    try:
+        sim.evolve(sim.ellipse_state(1.0, 3.0, 64), cfg)
+    finally:
+        tracer.uninstall()
+    attempted, accepted = counts["attempted"], counts["filtered"] - 1
+    assert 0 < accepted < attempted  # the run rejects at least one step
+    names = [s[1] for s in tracer.spans]
+    evolve_id = names.index("simulator.evolve")
+    inside = [s[1] for s in tracer.spans if s[4] == evolve_id]
+    assert inside.count("simulator.velocity") == 6 * attempted
+    assert inside.count("simulator.arc_chord_min") == 1 + accepted
+    metrics = tracing.rollup(tracer, wall_s=1.0)
+    assert metrics["simulator.rk_steps_attempted"] == attempted
+    assert metrics["simulator.rk_steps_accepted"] == accepted

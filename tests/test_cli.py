@@ -6,7 +6,7 @@ import os
 import pytest
 
 from alphapatch import simulator as sim
-from alphapatch.cli import main, config_hash, load_sim_config, lemma_tasks
+from alphapatch.cli import main, config_hash, load_sim_config, lemma_tasks, write_snapshots_csv
 
 
 def test_lemma_task_count():
@@ -83,6 +83,16 @@ def test_prove_convexity_vortex(tmp_path, capsys):
     assert rows[1][3] == "vortex"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["c_phase"] == 0.15
+    work = manifest["quadrature"]
+    (row,) = work["sets"]
+    assert (row["alpha_lo"], row["alpha_hi"]) == (0.0, 0.0)
+    assert row["cells"] > 0 and row["jet_evaluations"] >= row["cells"]
+    assert row["max_depth_hit"] is False
+    assert work["total"] == {
+        "cells": row["cells"],
+        "jet_evaluations": row["jet_evaluations"],
+        "max_depth_hit_sets": 0,
+    }
 
 
 def test_prove_convexity_requires_alpha(tmp_path):
@@ -113,6 +123,21 @@ def test_simulate_circle(tmp_path, capsys):
     with open(tmp_path / "snapshots.csv") as fh:
         header = fh.readline().strip()
     assert header == "t,x_index,z1,z2"
+
+
+def test_snapshots_csv_round_trips_points(tmp_path):
+    snaps = [sim.ellipse_state(1.0, 3.0, 64), sim.bump_state(0.15, 64)]
+    snaps[1].time = 0.5
+    path = tmp_path / "snapshots.csv"
+    write_snapshots_csv(path, snaps)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 64
+    for k, snap in enumerate(snaps):
+        mine = rows[64 * k : 64 * (k + 1)]
+        assert [float(r["t"]) for r in mine] == [snap.time] * 64
+        got = [(float(r["z1"]), float(r["z2"])) for r in mine]
+        assert got == [tuple(p) for p in snap.points.tolist()]
 
 
 def test_simulate_config_file(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from alphapatch.interval import Interval, DomainViolation, SignOutcome, PI
+from alphapatch.interval import Interval, DomainViolation, IntervalError, SignOutcome, PI
 from alphapatch.jets import Jet4
 from alphapatch.curves import Bump, AxisRatio
 from alphapatch.integrands import (
@@ -234,3 +234,63 @@ def test_kt_scaled_integrand_single_call():
     enc = make_kt_integrand(_spec(Regime.VORTEX, 0.0))(Interval(2.0))
     want = -0.2994245680433803336357
     assert enc.lo <= want <= enc.hi
+
+
+# point and 1e-4-wide alpha bands of every regime
+_VALUE_SLOT_BANDS = [
+    (Regime.VORTEX, 0.0, 0.0),
+    (Regime.SMALL_ALPHA, 0.02, 0.02),
+    (Regime.SMALL_ALPHA, 0.02, 0.0201),
+    (Regime.BIG_ALPHA, 1.0, 1.0),
+    (Regime.BIG_ALPHA, 1.0, 1.0001),
+    (Regime.VERY_BIG_ALPHA, 1.96, 1.96),
+    (Regime.VERY_BIG_ALPHA, 1.96, 1.9601),
+]
+
+
+def _node_intervals(rnd, count):
+    """Random quadrature-node intervals near +-pi, near the window edges
+    +-1/128, inside the domain, and inside the window, where those that
+    straddle y = 0 must fail."""
+    edge = 1.0 / 128.0
+    out = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            c = math.pi - rnd.uniform(0.0, 1e-3)
+        elif kind == 1:
+            c = edge + rnd.uniform(-1e-4, 1e-3)
+        elif kind == 2:
+            c = rnd.uniform(edge, math.pi)
+        else:
+            c = rnd.uniform(0.0, 1e-3)
+        c *= rnd.choice((1.0, -1.0))
+        r = 10 ** rnd.uniform(-12, -2.5)
+        out.append(Interval(c - r, c + r))
+    return out
+
+
+@pytest.mark.parametrize("curve", [C15, C45], ids=["C0.15", "C0.45"])
+def test_value_slot_matches_interval_evaluation(curve):
+    """The quadrature evaluates its Gauss nodes on plain intervals: that must
+    be bit-for-bit the value slot of the jet evaluation, and fail exactly
+    where the jet evaluation fails."""
+    rnd = random.Random(4)
+    outcomes = set()
+    for regime, lo, hi in _VALUE_SLOT_BANDS:
+        f = make_kt_integrand(_spec(regime, lo, hi, curve))
+        for x in _node_intervals(rnd, 30):
+            try:
+                plain = f(x)
+            except IntervalError:
+                plain = None
+            try:
+                slot = f(Jet4.variable(x)).d0
+            except IntervalError:
+                slot = None
+            if plain is None or slot is None:
+                assert plain is None and slot is None, (regime, lo, hi, x, plain, slot)
+            else:
+                assert plain == slot, (regime, lo, hi, x, plain, slot)
+            outcomes.add(plain is None)
+    assert outcomes == {True, False}

@@ -3,7 +3,10 @@ import math
 import pytest
 from mpmath import mpf
 
-from alphapatch.interval import Interval, DomainViolation
+from alphapatch.interval import Interval, DomainViolation, IntervalError, ZERO
+from alphapatch.curves import Bump
+from alphapatch.integrands import IntegrandSpec, Regime, make_kt_integrand
+from alphapatch.jets import Jet4
 from alphapatch.quadrature import (
     Tolerance,
     NonEvaluable,
@@ -94,3 +97,85 @@ def test_tiling_accounting():
     assert res.subinterval_count <= 2**13
     exact = (1 - math.cos(8.0)) / 4.0 + 4.0
     assert res.enclosure.lo <= exact <= res.enclosure.hi
+
+
+def _reference_integrate(f, a, b, tol):
+    """The adaptive loop with the full GL2 enclosure, jet included,
+    evaluated on every cell: (enclosure, cells, depth cap hit)."""
+    total, count, depth_hit = ZERO, 0, False
+    stack = [(a, b, 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        try:
+            enc = gl2_enclosure(f, lo, hi)
+        except IntervalError:
+            try:
+                enc = (Interval(hi) - Interval(lo)) * f(Interval(lo, hi))
+            except IntervalError:
+                enc = None
+        mid = 0.5 * (lo + hi)
+        final = depth >= tol.max_depth or not lo < mid < hi
+        wide = (
+            enc is not None
+            and enc.width() > tol.abs_tol
+            and enc.width() > tol.rel_tol * (hi - lo)
+        )
+        if enc is not None and (final or not wide):
+            depth_hit = depth_hit or wide
+            total = total + enc
+            count += 1
+            continue
+        assert not final
+        stack.append((mid, hi, depth + 1))
+        stack.append((lo, mid, depth + 1))
+    return total, count, depth_hit
+
+
+def _assert_same_as_reference(f, a, b, tol):
+    res = adaptive_integrate(f, a, b, tol)
+    enc, count, depth_hit = _reference_integrate(f, a, b, tol)
+    assert (res.enclosure.lo, res.enclosure.hi) == (enc.lo, enc.hi)
+    assert res.subinterval_count == count
+    assert res.max_depth_hit == depth_hit
+    return res
+
+
+def test_pruning_matches_full_evaluation_closed_forms():
+    """Splitting hopeless cells without their jet changes no enclosure bit,
+    cell count or depth-cap flag."""
+    for name, fn, a, b, _ in CASES:
+        res = _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
+        assert res.jet_evaluations >= res.subinterval_count, name
+    res = _assert_same_as_reference(lambda x: abs(x), -1.0, 1.0, Tolerance(1e-3, 1e-3, 6))
+    assert res.jet_evaluations >= res.subinterval_count
+
+
+def test_pruning_keeps_cells_only_the_crude_bound_accepts():
+    """A cell whose node sum is too wide is still accepted when its jet
+    fails and the crude bound (b-a)*f([a,b]) meets the tolerance.  The
+    contrived integrand is wide on narrow arguments and exact on wide ones,
+    and its jet always fails."""
+
+    def f(x):
+        if isinstance(x, Jet4):
+            raise DomainViolation("no jet")
+        return Interval(0.0, 1.0) if x.width() < 0.5 else Interval(0.0)
+
+    res = _assert_same_as_reference(f, 0.0, 1.0, Tolerance(1e-6, 1e-6, 5))
+    assert res.subinterval_count == 1
+    assert (res.enclosure.lo, res.enclosure.hi) == (0.0, 0.0)
+
+
+def test_pruning_matches_full_evaluation_alpha_limited():
+    """An alpha band 1e-3 wide keeps every cell too wide: all are split down
+    to the depth cap.  Of the 2**8 - 1 cells visited, the jet is evaluated
+    on the 2**7 at the cap and on the one cell next to the window whose node
+    sum alone is narrow enough."""
+    spec = IntegrandSpec.for_regime(Regime.BIG_ALPHA, Interval(1.0, 1.001), Bump.from_float(0.15))
+    f = make_kt_integrand(spec)
+    tol = Tolerance(max_depth=7)
+    for a, b in ((1.0 / 128.0, math.pi), (-math.pi, -1.0 / 128.0)):
+        res = _assert_same_as_reference(f, a, b, tol)
+        assert res.max_depth_hit
+        assert res.subinterval_count == 2**7
+        assert res.jet_evaluations == 2**7 + 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alphapatch import simulator
 from alphapatch.simulator import (
     SimConfig,
     SimState,
@@ -172,3 +173,49 @@ def test_reversibility_short():
     back_state = SimState(fwd[-1].points.copy(), 0.0)
     back = evolve(back_state, SimConfig(alpha=1.0, jump=2 * math.pi, t_final=0.5, snapshot_interval=0.5))
     assert np.abs(back[-1].points - st.points).max() <= 1e-5
+
+
+def _reference_kernel_sum(z, zx, alpha):
+    """The O(N^2) kernel sum through (N, N, 2) pairwise differences."""
+    diff = z[:, None, :] - z[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(dist2, 1.0)
+    if alpha == 0.0:
+        logd = 0.5 * np.log(dist2)
+        np.fill_diagonal(logd, 0.0)
+        return np.einsum("ij,jk->ik", logd, zx)
+    kern = dist2 ** (-alpha / 2.0)
+    np.fill_diagonal(kern, 0.0)
+    dzx = zx[:, None, :] - zx[None, :, :]
+    return np.einsum("ij,ijk->ik", kern, dzx)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+def test_velocity_matches_pairwise_reference(alpha, monkeypatch):
+    cfg = SimConfig(alpha=alpha)
+    for state in (ellipse_state(1.0, 3.0, 256), bump_state(0.15, 256)):
+        got = velocity(state, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_kernel_sum", _reference_kernel_sum)
+            want = velocity(state, cfg)
+        scale = float(np.abs(want).max())
+        assert float(np.abs(got - want).max()) <= 1e-12 * scale
+
+
+def test_arc_chord_min_bitwise_and_cached_chords():
+    for state in (ellipse_state(1.0, 3.0, 128), bump_state(0.45, 256)):
+        z, n = state.points, state.n
+        diff = z[:, None, :] - z[None, :, :]
+        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        np.fill_diagonal(d, 1.0)
+        i = np.arange(n)
+        chord = 2.0 * np.abs(np.sin(np.abs(i[:, None] - i[None, :]) * (2 * math.pi / n) / 2.0))
+        np.fill_diagonal(chord, 1.0)
+        ratio = d / chord
+        np.fill_diagonal(ratio, np.inf)
+        assert arc_chord_min(state) == float(ratio.min())
+        cached = simulator._chord_matrix(n)
+        assert cached is simulator._chord_matrix(n)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 1] = 0.0
