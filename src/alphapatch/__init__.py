@@ -19,7 +19,7 @@ from .interval import (
     TWO_PI,
 )
 from .jets import Jet4
-from .curves import Bump, AxisRatio, ZoneViolation, lemma_poly, hull_enclosure
+from .curves import Bump, ZoneViolation, lemma_poly, hull_enclosure
 from .signcheck import SignTask, SignResult, validate_sign
 from .quadrature import Tolerance, QuadratureResult, NonEvaluable, gl2_enclosure, adaptive_integrate
 from .integrands import (

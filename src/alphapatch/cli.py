@@ -166,22 +166,22 @@ def cmd_prove_rotation(args):
 
 
 def _parse_alpha_interval(text):
-    sep = ":" if ":" in text else ","
-    parts = text.split(sep)
-    if len(parts) == 1:
-        lo = hi = float(parts[0])
-    elif len(parts) == 2:
-        lo, hi = float(parts[0]), float(parts[1])
-    else:
-        raise ValueError(f"bad alpha interval {text!r}")
-    if lo > hi:
-        raise ValueError(f"bad alpha interval {text!r}")
-    return lo, hi
+    """``lo:hi``, ``lo,hi`` or a single value, inside [0, 2) with lo <= hi."""
+    parts = text.split(":" if ":" in text else ",")
+    try:
+        lo, hi = float(parts[0]), float(parts[-1])
+        if len(parts) <= 2 and 0.0 <= lo <= hi < 2.0:
+            return lo, hi
+    except ValueError:
+        pass
+    raise ValueError(f"bad alpha interval {text!r}: want lo:hi with 0 <= lo <= hi < 2")
 
 
 def full_sweep_intervals(step):
     """Initial alpha intervals covering {0} and [1e-9, 2 - 1e-9]: the vortex
     point plus contiguous slices of width ``step``."""
+    if not step > 0.0:
+        raise ValueError(f"sweep step {step} must be positive")
     intervals = [(0.0, 0.0)]
     lo = 1e-9
     while lo < 2.0 - 1e-9:
@@ -215,24 +215,19 @@ def _quadrature_work(rows):
 
 def cmd_prove_convexity(args):
     started = _utc_now()
-    if args.full_sweep:
-        intervals = full_sweep_intervals(args.sweep_step)
-    else:
-        intervals = [_parse_alpha_interval(t) for t in (args.alpha or [])]
+    try:
+        tol = Tolerance(args.abs_tol, args.rel_tol, args.max_depth)
+        if args.full_sweep:
+            intervals = full_sweep_intervals(args.sweep_step)
+        else:
+            intervals = [_parse_alpha_interval(t) for t in (args.alpha or [])]
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if not intervals:
         print("no alpha intervals requested", file=sys.stderr)
         return 2
-    initial = [
-        ParameterSet.for_phase(
-            lo,
-            hi,
-            args.c_phase,
-            abs_tol=args.abs_tol,
-            rel_tol=args.rel_tol,
-            max_depth=args.max_depth,
-        )
-        for lo, hi in intervals
-    ]
+    initial = [ParameterSet.for_phase(lo, hi, args.c_phase, tol=tol) for lo, hi in intervals]
     rows = run_queue(initial, split_threshold=args.split_threshold, workers=args.workers)
     paths = write_region_files(rows, args.out_dir)
     unresolved = [

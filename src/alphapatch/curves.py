@@ -33,7 +33,6 @@ from .jets import Jet4
 
 __all__ = [
     "Bump",
-    "AxisRatio",
     "ZoneViolation",
     "EPS_ZONE",
     "ZONE_LEFT",
@@ -64,27 +63,6 @@ class Bump:
     """Bump-sine proof curve; ``c_phase`` encloses the phase constant C."""
 
     c_phase: Interval
-
-    @classmethod
-    def from_float(cls, c):
-        return cls(Interval.around(c))
-
-
-@dataclass(frozen=True)
-class AxisRatio:
-    """R = (R1^2 - R2^2)/(R1^2 + R2^2) for R1 > R2, constrained to (0, 1)."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 < self.value < 1.0):
-            raise ValueError("axis ratio must lie in (0, 1)")
-
-    @classmethod
-    def from_semiaxes(cls, r1, r2):
-        num = r1 * r1 - r2 * r2
-        den = r1 * r1 + r2 * r2
-        return cls(abs(num) / den)
 
 
 # --------------------------------------------------------------------------
@@ -173,16 +151,15 @@ def bump_envelope(u):
     return (1.0 - 1.0 / (1.0 - t2)).exp()
 
 
-def z1_derivs(u, kmax, u2=None, envelope=None):
+def z1_derivs(u, kmax):
     """[z1(u), z1'(u), ..., z1^(kmax)(u)] sharing subexpressions.
 
     Works for Interval and Jet4 arguments alike; the argument must be
     strictly inside (-pi, pi).
     """
     _check_inside(u)
-    if u2 is None:
-        u2 = u.sqr()
-    e = bump_envelope(u) if envelope is None else envelope
+    u2 = u.sqr()
+    e = bump_envelope(u)
     out = [2.0 * e - 1.0]
     if kmax == 0:
         return out

@@ -44,7 +44,6 @@ from .interval import Interval, DomainViolation, SignOutcome, PI, TWO_PI, ZERO
 from .jets import Jet4
 from .curves import (
     EPS_ZONE,
-    AxisRatio,
     Bump,
     ZoneViolation,
     hull_enclosure,
@@ -249,7 +248,6 @@ class _ZoneBounds:
     b: dict  # order -> magnitude bound of the bump component (Interval)
     s: dict  # order -> magnitude bound of the sine component
     den: Interval  # lower-bound interval for |dz|^2 / y^2
-    m_hi: Interval  # upper bound for |dz| / |y|
 
     @classmethod
     def build(cls, curve, side, r, kmax):
@@ -258,17 +256,13 @@ class _ZoneBounds:
         else:
             zone = Interval(-PI.hi, math.nextafter(r - PI.lo, math.inf))
         b = {k: _mag(hull_enclosure(curve, k, zone)) for k in range(1, kmax + 1)}
-        z2 = z2_derivs(zone, min(kmax, 3), curve.c_phase)
-        s = {k: _mag(z2[k]) for k in range(1, min(kmax, 3) + 1)}
-        tangent = z2[1]
-        mig = tangent.mig()
+        z2 = z2_derivs(zone, 3, curve.c_phase)
+        s = {k: _mag(z2[k]) for k in range(1, 4)}
+        mig = z2[1].mig()
         if mig <= 0.0:
             raise ZoneViolation("sine-component speed not sign-definite on the zone")
-        mroot = Interval(mig)
-        den = mroot.sqr()
-        den = Interval(den.lo, den.lo)  # sound lower bound for |dz|^2/y^2
-        m_hi = (b[1].sqr() + s[1].sqr()).sqrt() if 1 in s else b[1]
-        return cls(b, s, den, m_hi)
+        den = Interval(Interval(mig).sqr().lo)  # sound lower bound for |dz|^2/y^2
+        return cls(b, s, den)
 
     def pa(self):
         return self.b[1].sqr() + self.s[1].sqr()
@@ -286,6 +280,28 @@ class _ZoneBounds:
 def _symmetric(hi):
     hi = abs(hi)
     return Interval(-hi, hi)
+
+
+def _alpha_coeff(z, a, s_w, c_w, h2, h3, h4):
+    """s_w |z_xt| + c_w |z_xxt| of the scaled integrand on the window.
+
+    h2, h3 and h4 bound |dzx_1|, |dzxx_1| and |dzxxx_1| per power of y.
+    Also returns the kernel bounds g_2a and g_4a for the small-alpha plain
+    terms.
+    """
+    g_a = z.den.pow(a * -0.5)
+    g_2a = g_a / z.den
+    g_4a = g_2a / z.den
+    pb, pc, pd = z.pb(), z.pc(), z.pd()
+    zxt = h3 * g_a + h2 * pb * g_2a * a
+    zxxt = (
+        h4 * g_a
+        + h3 * pb * g_2a * (a * 2.0)
+        + h2 * pc * g_2a * a
+        + h2 * pb.sqr() * g_4a * (a * (a + 2.0))
+        + h2 * pd * g_2a * a
+    )
+    return s_w * zxt + c_w * zxxt, g_2a, g_4a
 
 
 def _residual_half(spec, pt, side, r):
@@ -313,71 +329,36 @@ def _residual_half(spec, pt, side, r):
         return _symmetric(bound.hi)
     if spec.regime == Regime.BIG_ALPHA:
         z = _ZoneBounds.build(spec.curve, side, r, 4)
-        g_a = z.den.pow(a * -0.5)
-        g_2a = g_a / z.den
-        g_4a = g_2a / z.den
-        pb, pc, pd = z.pb(), z.pc(), z.pd()
-        zxt = z.b[3] * g_a + z.b[2] * pb * g_2a * a
-        zxxt = (
-            z.b[4] * g_a
-            + z.b[3] * pb * g_2a * (a * 2.0)
-            + z.b[2] * pc * g_2a * a
-            + z.b[2] * pb.sqr() * g_4a * (a * (a + 2.0))
-            + z.b[2] * pd * g_2a * a
-        )
-        coeff = s_w * zxt + c_w * zxxt
+        coeff, _, _ = _alpha_coeff(z, a, s_w, c_w, z.b[2], z.b[3], z.b[4])
         two_m_a = 2.0 - a
         power_int = Interval(r).pow(two_m_a) / two_m_a  # int_0^r y^{1-alpha}
         return _symmetric((coeff * power_int).hi)
     if spec.regime == Regime.SMALL_ALPHA:
         z = _ZoneBounds.build(spec.curve, side, r, 4)
-        g_a = z.den.pow(a * -0.5)
-        g_2a = g_a / z.den
-        g_4a = g_2a / z.den
-        pb, pc, pd = z.pb(), z.pc(), z.pd()
-        mroot = z.den.sqrt()
-        if (z.m_hi * r).hi >= 1.0:
+        if (z.pa().sqrt() * r).hi >= 1.0:
             raise ZoneViolation("log bound needs |dz| < 1 on the window")
+        # log-weighted terms: |log |dz|| <= -log(mroot * y) on the window
+        c2, g_2a, g_4a = _alpha_coeff(z, a, s_w, c_w, z.b[2], z.b[3], z.b[4])
         # plain terms
+        pb, pc, pd = z.pb(), z.pc(), z.pd()
         c1 = s_w * (z.b[2] * pb * g_2a) + c_w * (
             2.0 * (z.b[3] * pb) * g_2a
             + z.b[2] * pc * g_2a
             + z.b[2] * pb.sqr() * g_4a * (a * 2.0 + 2.0)
             + z.b[2] * pd * g_2a
         )
-        # log-weighted terms: |log |dz|| <= -log(mroot * y) on the window
-        c2 = s_w * (z.b[3] * g_a + z.b[2] * pb * g_2a * a) + c_w * (
-            z.b[4] * g_a
-            + z.b[3] * pb * g_2a * (a * 2.0)
-            + z.b[2] * pc * g_2a * a
-            + z.b[2] * pb.sqr() * g_4a * (a * (a + 2.0))
-            + z.b[2] * pd * g_2a * a
-        )
         two_m_a = 2.0 - a
         rp = Interval(r).pow(two_m_a)
         plain_int = rp / two_m_a
+        mroot = z.den.sqrt()
         log_at_r = -((mroot * r).log())  # positive
         log_int = rp * (log_at_r / two_m_a + 1.0 / two_m_a.sqr())
         return _symmetric((c1 * plain_int + c2 * log_int).hi)
     # very big alpha: second-order Taylor around pi (the limit derivatives
-    # vanish) gives the extra power of y that keeps the bound finite
+    # vanish) gives the extra power of y that keeps the bound finite:
+    # |dzx_1| <= y^2/2 * sup|z1'''|, and likewise one and two orders up
     z = _ZoneBounds.build(spec.curve, side, r, 5)
-    g_a = z.den.pow(a * -0.5)
-    g_2a = g_a / z.den
-    g_4a = g_2a / z.den
-    pb, pc, pd = z.pb(), z.pc(), z.pd()
-    h2 = z.b[3] * 0.5  # |dzx_1| <= y^2/2 * sup|z1'''|
-    h3 = z.b[4] * 0.5
-    h4 = z.b[5] * 0.5
-    zxt = h3 * g_a + h2 * pb * g_2a * a
-    zxxt = (
-        h4 * g_a
-        + h3 * pb * g_2a * (a * 2.0)
-        + h2 * pc * g_2a * a
-        + h2 * pb.sqr() * g_4a * (a * (a + 2.0))
-        + h2 * pd * g_2a * a
-    )
-    coeff = s_w * zxt + c_w * zxxt
+    coeff, _, _ = _alpha_coeff(z, a, s_w, c_w, z.b[3] * 0.5, z.b[4] * 0.5, z.b[5] * 0.5)
     three_m_a = 3.0 - a
     power_int = Interval(r).pow(three_m_a) / three_m_a  # int_0^r y^{2-alpha}
     return _symmetric((coeff * power_int).hi)
@@ -396,13 +377,11 @@ def singular_residual(spec, left=-WINDOW_HALF, right=WINDOW_HALF):
 # ---------------------------------------------------------------------------
 
 
-def ellipse_rotation_integrand(alpha, axis_ratio, y):
-    """Final positivity display of the non-rotation argument (generic)."""
-    if not isinstance(alpha, Interval):
-        alpha = Interval(alpha)
-    r = axis_ratio.value if isinstance(axis_ratio, AxisRatio) else float(axis_ratio)
-    if not 0.0 < r < 1.0:
-        raise ValueError("axis ratio must lie in (0,1)")
+def ellipse_rotation_integrand(alpha, r, y):
+    """Final positivity display of the non-rotation argument (generic).
+
+    ``alpha`` is an Interval and the axis ratio ``r`` a float in (0, 1).
+    """
     half = y.half()
     s, c = half.sin(), half.cos()
     cy = y.cos()
@@ -478,7 +457,9 @@ def ellipse_rotation_check(alpha, axis_ratio, delta=WINDOW_HALF, min_width=DEFAU
     """
     if not isinstance(alpha, Interval):
         alpha = Interval(alpha)
-    r = axis_ratio.value if isinstance(axis_ratio, AxisRatio) else float(axis_ratio)
+    r = float(axis_ratio)
+    if not 0.0 < r < 1.0:
+        raise ValueError("axis ratio must lie in (0, 1)")
     q = math.pi / 2
     interior_domain = Interval(delta, q - delta)
     task = SignTask(

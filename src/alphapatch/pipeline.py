@@ -1,13 +1,14 @@
 """Work-queue driver for the convexity sign certificates.
 
 Each :class:`ParameterSet` is one unit of proof: an alpha interval, a phase
-constant, the singularity window, and quadrature tolerances.  Processing one
-set selects the validation regime, certifies the zone-monotonicity facts the
-window bounds rely on, integrates the regime's integrand over the bounded
-region with validated quadrature, adds the window residual, and turns the
-total enclosure into a verdict.  Indeterminate verdicts are split in alpha
-and re-queued until the split threshold is reached; every verdict lands in
-one of three region files, so the output tiles the requested alpha range.
+constant and quadrature tolerances.  Processing one set selects the
+validation regime, certifies the zone-monotonicity facts the window bounds
+rely on, integrates the regime's integrand over [-pi, pi] outside the fixed
+singularity window [-1/128, 1/128] with validated quadrature, adds the window
+residual, and turns the total enclosure into a verdict.  Indeterminate
+verdicts are split in alpha and re-queued until the split threshold is
+reached; every verdict lands in one of three region files, so the output
+tiles the requested alpha range.
 
 Verdicts depend only on their ParameterSet, so sharding the initial sets
 across worker processes changes nothing but wall-clock time; the merge step
@@ -21,7 +22,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .interval import Interval, SignOutcome, PI
 from .curves import ZONE_LEFT, ZONE_RIGHT, Bump, lemma_poly
@@ -68,11 +69,7 @@ class ZoneFactsFailed(RuntimeError):
 class ParameterSet:
     alpha: Interval
     c_phase: Interval
-    left: Interval = field(default_factory=lambda: Interval(-WINDOW_HALF))
-    right: Interval = field(default_factory=lambda: Interval(WINDOW_HALF))
-    abs_tol: float = Tolerance.abs_tol
-    rel_tol: float = Tolerance.rel_tol
-    max_depth: int = Tolerance.max_depth
+    tol: Tolerance = Tolerance()
 
     @classmethod
     def for_phase(cls, alpha_lo, alpha_hi, c_phase, **kw):
@@ -180,11 +177,11 @@ def process(ps):
     curve = Bump(ps.c_phase)
     spec = IntegrandSpec.for_regime(regime, ps.alpha, curve)
     f = make_kt_integrand(spec)
-    tol = Tolerance(ps.abs_tol, ps.rel_tol, ps.max_depth)
-    left_f = ps.left.lo
-    right_f = ps.right.hi
     p = math.pi
-    halves = [adaptive_integrate(f, right_f, p, tol), adaptive_integrate(f, -p, left_f, tol)]
+    halves = [
+        adaptive_integrate(f, WINDOW_HALF, p, ps.tol),
+        adaptive_integrate(f, -p, -WINDOW_HALF, ps.tol),
+    ]
     total = halves[0].enclosure + halves[1].enclosure
     # the one-ulp slivers [math.pi, pi] and [-pi, -math.pi]: the integrand is
     # regular there (x - y is near 0), in every regime.  The very-big-alpha
@@ -194,7 +191,7 @@ def process(ps):
     sliver_width = Interval(0.0, PI.hi - p)
     total = total + _sliver_bound(f, p, PI.hi, sliver_width)
     total = total + _sliver_bound(f, -PI.hi, -p, sliver_width)
-    total = total + singular_residual(spec, left_f, right_f)
+    total = total + singular_residual(spec)
     if total.lo > 0.0:
         outcome = SignOutcome.ALL_POSITIVE
     elif total.hi < 0.0:
@@ -282,24 +279,12 @@ def run_queue(initial, split_threshold=SPLIT_THRESHOLD, workers=1):
 def write_region_files(rows, out_dir):
     """Write positive/negative/indeterminate CSVs; returns the three paths."""
     os.makedirs(out_dir, exist_ok=True)
-    buckets = {
-        SignOutcome.ALL_POSITIVE: [],
-        SignOutcome.ALL_NEGATIVE: [],
-        SignOutcome.INDETERMINATE: [],
-    }
-    for v in rows:
-        buckets[v.outcome].append(v.row())
     paths = {}
-    names = {
-        SignOutcome.ALL_POSITIVE: "positive.csv",
-        SignOutcome.ALL_NEGATIVE: "negative.csv",
-        SignOutcome.INDETERMINATE: "indeterminate.csv",
-    }
-    for outcome, name in names.items():
-        path = os.path.join(out_dir, name)
+    for outcome in SignOutcome:
+        path = os.path.join(out_dir, f"{outcome.value}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(REGION_HEADER)
-            writer.writerows(buckets[outcome])
+            writer.writerows(v.row() for v in rows if v.outcome == outcome)
         paths[outcome] = path
     return paths

@@ -33,7 +33,6 @@ class SignTask:
     domain: Interval
     min_width: float = DEFAULT_MIN_WIDTH
     expected: SignOutcome = SignOutcome.ALL_POSITIVE
-    name: str = ""
 
     def __post_init__(self):
         if not self.min_width > 0:

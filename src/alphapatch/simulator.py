@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# the step controller halts with StepSizeUnderflow below this step
+MIN_STEP = 1e-12
+# noise-floor Fourier filter (Krasny-style): modes whose relative amplitude
+# stays below this are zeroed after each accepted step, which keeps the
+# grid-scale instability of the singular kernel from feeding on roundoff
+NOISE_FLOOR = 1e-13
 
 
 class ArcChordCollapse(RuntimeError):
@@ -70,12 +76,6 @@ class SimConfig:
     t_final: float = 10.0
     snapshot_interval: float = 1.0
     arc_chord_factor: float = 1e-3
-    min_step: float = 1e-12
-    # noise-floor Fourier filter (Krasny-style): modes whose relative
-    # amplitude stays below this are zeroed after each accepted step, which
-    # keeps the grid-scale instability of the singular kernel from feeding
-    # on roundoff; 0 disables
-    noise_floor: float = 1e-13
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 2.0:
@@ -272,13 +272,11 @@ def velocity(state, cfg):
     return u_n[:, None] * normal + v_t[:, None] * tangent
 
 
-def _noise_floor_filter(points, floor):
-    """Zero Fourier modes below ``floor`` times the dominant amplitude."""
-    if floor <= 0.0:
-        return points
+def _noise_floor_filter(points):
+    """Zero Fourier modes below NOISE_FLOOR times the dominant amplitude."""
     spec = np.fft.rfft(points, axis=0)
     mag = np.abs(spec)
-    cutoff = floor * mag.max()
+    cutoff = NOISE_FLOOR * mag.max()
     spec[mag < cutoff] = 0.0
     return np.fft.irfft(spec, n=points.shape[0], axis=0)
 
@@ -379,7 +377,7 @@ def evolve(state, cfg, on_snapshot=None):
     or :class:`StepSizeUnderflow` when the controller stalls.
     """
     state = state.copy()
-    state.points = _noise_floor_filter(state.points, cfg.noise_floor)
+    state.points = _noise_floor_filter(state.points)
     initial_ratio = arc_chord_min(state)
     threshold = cfg.arc_chord_factor * initial_ratio
     snapshots = [state.copy()]
@@ -400,7 +398,7 @@ def evolve(state, cfg, on_snapshot=None):
         err = float(np.max(np.abs(z5 - z4) / scale))
         if err <= 1.0:
             t += dt
-            z = _noise_floor_filter(z4, cfg.noise_floor)
+            z = _noise_floor_filter(z4)
             ratio = arc_chord_min(SimState(z, t))
             if ratio < threshold:
                 raise ArcChordCollapse(t, ratio)
@@ -412,7 +410,7 @@ def evolve(state, cfg, on_snapshot=None):
                 next_snap += cfg.snapshot_interval
         factor = 0.9 * (1.0 / max(err, 1e-12)) ** 0.2
         dt *= min(5.0, max(0.2, factor))
-        if dt < cfg.min_step:
+        if dt < MIN_STEP:
             raise StepSizeUnderflow(t, dt)
     if snapshots[-1].time < t - 1e-12:
         snapshots.append(SimState(z.copy(), t))
@@ -430,13 +428,13 @@ def circle_state(radius=1.0, n=512):
     return SimState(pts)
 
 
-def ellipse_state(r1=1.0, r2=3.0, n=512, arclength_uniform=True):
-    """Ellipse (r1 cos, r2 sin), optionally resampled to uniform arclength.
+def ellipse_state(r1=1.0, r2=3.0, n=512):
+    """Ellipse (r1 cos, r2 sin), resampled to uniform arclength.
 
     Uniform arclength keeps |z_x| spatially constant, which the tangential
     term then maintains for all time.
     """
-    if not arclength_uniform or r1 == r2:
+    if r1 == r2:
         grid = np.arange(n) * (TWO_PI / n)
         pts = np.stack([r1 * np.cos(grid), r2 * np.sin(grid)], axis=1)
         return SimState(pts)

@@ -99,6 +99,31 @@ def test_prove_convexity_requires_alpha(tmp_path):
     assert main(["prove-convexity", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "0:0", "--abs-tol", "0"],
+        ["--alpha", "0:0", "--rel-tol", "-1"],
+        ["--alpha", "0:0", "--max-depth", "0"],
+        ["--full-sweep", "--sweep-step", "0"],
+        ["--alpha", "1.0:0.5"],
+        ["--alpha", "x:1"],
+        ["--alpha", "0.1:0.2:0.3"],
+        ["--alpha", "1.5:2.5"],
+        ["--alpha=-0.5:0"],
+    ],
+)
+def test_prove_convexity_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
+    """One line on stderr and exit 2, before any set is processed."""
+    import alphapatch.cli as cli
+
+    monkeypatch.setattr(cli, "run_queue", lambda *a, **k: pytest.fail("work started"))
+    out_dir = tmp_path / "out"
+    assert main(["prove-convexity", *flags, "--out-dir", str(out_dir)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_simulate_circle(tmp_path, capsys):
     code = main(
         [
@@ -170,6 +195,16 @@ def test_simulate_halt_keeps_history(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["halt"]["reason"] == "ArcChordCollapse"
     assert manifest["halt"]["time"] == 0.15
+
+
+def test_every_solver_setting_is_a_config_key():
+    """No SimConfig field is out of reach of a simulate config."""
+    from dataclasses import fields
+
+    from alphapatch.cli import _SOLVER_KEYS
+
+    settable = {f.name for f in fields(sim.SimConfig)} - {"alpha"}
+    assert settable == set(_SOLVER_KEYS)
 
 
 def test_sim_config_rejects_unknown_keys(tmp_path):

@@ -23,8 +23,8 @@ import oracles
 
 mp.dps = 40
 
-C15 = Bump.from_float(0.15)
-C45 = Bump.from_float(0.45)
+C15 = Bump(Interval.around(0.15))
+C45 = Bump(Interval.around(0.45))
 
 
 def _curvature_numerator(curve, x, z1x, z1xx):

@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from alphapatch.interval import Interval, DomainViolation, IntervalError, SignOutcome, PI
 from alphapatch.jets import Jet4
-from alphapatch.curves import Bump, AxisRatio
+from alphapatch.curves import Bump
 from alphapatch.integrands import (
     ALPHA_CR,
     ALPHA_BR,
@@ -20,8 +20,8 @@ from alphapatch.integrands import (
 
 import oracles
 
-C15 = Bump.from_float(0.15)
-C45 = Bump.from_float(0.45)
+C15 = Bump(Interval.around(0.15))
+C45 = Bump(Interval.around(0.45))
 
 
 def _spec(regime, alo, ahi=None, curve=C15):
@@ -195,6 +195,44 @@ def test_residual_window_limited():
         singular_residual(spec, -0.02, 0.02)
 
 
+# singular_residual half-widths, float.hex, per (regime, alpha band) and
+# window: (C = 0.15, C = 0.45); None is the default window
+_RESIDUAL_BITS = {
+    (Regime.VORTEX, 0.0, 0.0): {
+        None: ("0x1.e096c238026e7p-251", "0x1.b7f3d2ae30fdbp-251"),
+        (-1e-3, 2e-3): ("0x1.bfaa62e2208f5p-1021", "0x1.97f4bfd6db18fp-1021"),
+        (0.0, 1e-4): ("0x1.4c4786e60a04fp-1004", "0x1.2e9e32dd45d07p-1004"),
+    },
+    (Regime.SMALL_ALPHA, 0.02, 0.0201): {
+        None: ("0x1.110f3bd5aeea9p-241", "0x1.fb1970ea62e2dp-242"),
+        (-1e-3, 2e-3): ("0x1.6a33e07dfeea4p-1008", "0x1.4ea4060c4c432p-1008"),
+        (0.0, 1e-4): ("0x1.d6bebe6ca73afp-988", "0x1.b1a2ad47f686dp-988"),
+    },
+    (Regime.BIG_ALPHA, 1.0, 1.0001): {
+        None: ("0x1.71db85b85554dp-236", "0x1.725b873511339p-236"),
+        (-1e-3, 2e-3): ("0x1.4a51d5f625b26p-1000", "0x1.4a531d53ba500p-1000"),
+        (0.0, 1e-4): ("0x1.898a294e0df7fp-977", "0x1.898e72fd67010p-977"),
+    },
+    (Regime.VERY_BIG_ALPHA, 1.96, 1.9601): {
+        None: ("0x1.beb5895634cedp-223", "0x1.e9fb129785125p-223"),
+        (-1e-3, 2e-3): ("0x1.68ec1b2e77f35p-981", "0x1.8ad96ce94d5fap-981"),
+        (0.0, 1e-4): ("0x1.359183561de10p-951", "0x1.52b05e1193efbp-951"),
+    },
+}
+
+
+def test_residual_frozen_bits():
+    """The window residual is symmetric and bit-for-bit what it was when the
+    four regimes' bounds were first certified."""
+    for (regime, alo, ahi), windows in _RESIDUAL_BITS.items():
+        for window, bits in windows.items():
+            for curve, hex_hi in zip((C15, C45), bits):
+                spec = _spec(regime, alo, ahi, curve)
+                res = singular_residual(spec, *(window or ()))
+                hi = float.fromhex(hex_hi)
+                assert (res.lo, res.hi) == (-hi, hi), (regime, window, curve)
+
+
 def test_ellipse_rotation_integrand_endpoints():
     a = Interval(1.0)
     end0 = ellipse_rotation_integrand(a, 0.8, Interval(1e-30, 2e-30))
@@ -221,13 +259,6 @@ def test_ellipse_rotation_check_grid_point():
 def test_ellipse_rotation_check_near_degenerate():
     cert = ellipse_rotation_check(Interval.around(1.0), 0.999)
     assert cert.outcome == SignOutcome.ALL_POSITIVE
-
-
-def test_axis_ratio_from_semiaxes():
-    r = AxisRatio.from_semiaxes(1.0, 3.0)
-    assert abs(r.value - 0.8) < 1e-12
-    with pytest.raises(ValueError):
-        AxisRatio(1.0)
 
 
 def test_kt_scaled_integrand_single_call():

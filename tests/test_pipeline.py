@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import pickle
 
 import pytest
 
 from alphapatch.interval import Interval, SignOutcome
 from alphapatch.integrands import Regime
+from alphapatch.quadrature import Tolerance
 from alphapatch.pipeline import (
     ParameterSet,
     StraddlesBoundary,
@@ -44,9 +46,8 @@ def test_parameterset_pickles():
 
 def test_parameterset_defaults():
     ps = ParameterSet.for_phase(0.0, 0.0, 0.15)
-    assert ps.left.lo == -1.0 / 128.0
-    assert ps.right.hi == 1.0 / 128.0
-    assert ps.abs_tol == 1e-6 and ps.rel_tol == 1e-6 and ps.max_depth == 13
+    assert [f.name for f in dataclasses.fields(ps)] == ["alpha", "c_phase", "tol"]
+    assert ps.tol == Tolerance()
 
 
 def test_process_vortex_negative():
@@ -71,7 +72,7 @@ def test_run_queue_empty():
 def test_run_queue_splits_straddling_interval():
     # [1.94, 1.96] crosses the big/very-big boundary and must be split
     rows = run_queue(
-        [ParameterSet.for_phase(1.94, 1.96, 0.15, abs_tol=1e-3, rel_tol=1e-3, max_depth=11)],
+        [ParameterSet.for_phase(1.94, 1.96, 0.15, tol=Tolerance(1e-3, 1e-3, 11))],
         split_threshold=5e-6,
     )
     assert len(rows) == 2  # split exactly at the regime boundary
@@ -112,7 +113,7 @@ def test_no_alpha_interval_in_both_files(tmp_path):
     rows = run_queue(
         [
             ParameterSet.for_phase(0.0, 0.0, 0.15),
-            ParameterSet.for_phase(1.0, 1.0001, 0.15, abs_tol=1e-4, rel_tol=1e-4),
+            ParameterSet.for_phase(1.0, 1.0001, 0.15, tol=Tolerance(1e-4, 1e-4)),
         ],
     )
     write_region_files(rows, str(tmp_path))
@@ -131,7 +132,7 @@ def test_no_alpha_interval_in_both_files(tmp_path):
 def test_worker_sharding_matches_sequential(tmp_path):
     initial = [
         ParameterSet.for_phase(0.0, 0.0, 0.15),
-        ParameterSet.for_phase(0.02, 0.02005, 0.15, abs_tol=1e-4, rel_tol=1e-4),
+        ParameterSet.for_phase(0.02, 0.02005, 0.15, tol=Tolerance(1e-4, 1e-4)),
     ]
     seq = run_queue(initial, workers=1)
     par = run_queue(initial, workers=2)

@@ -171,7 +171,7 @@ def test_pruning_matches_full_evaluation_alpha_limited():
     to the depth cap.  Of the 2**8 - 1 cells visited, the jet is evaluated
     on the 2**7 at the cap and on the one cell next to the window whose node
     sum alone is narrow enough."""
-    spec = IntegrandSpec.for_regime(Regime.BIG_ALPHA, Interval(1.0, 1.001), Bump.from_float(0.15))
+    spec = IntegrandSpec.for_regime(Regime.BIG_ALPHA, Interval(1.0, 1.001), Bump(Interval.around(0.15)))
     f = make_kt_integrand(spec)
     tol = Tolerance(max_depth=7)
     for a, b in ((1.0 / 128.0, math.pi), (-math.pi, -1.0 / 128.0)):

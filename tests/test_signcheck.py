@@ -9,7 +9,7 @@ from alphapatch.signcheck import SignTask, validate_sign, write_certificate_csv
 
 mp.dps = 30
 
-C15 = Bump.from_float(0.15)
+C15 = Bump(Interval.around(0.15))
 
 
 def test_positive_parabola():
@@ -122,7 +122,7 @@ def test_dense_sampling_agrees_with_verdict():
 
 
 def test_csv_roundtrip(tmp_path):
-    task = SignTask(lambda x: x.sqr() + 1.0, Interval(-1, 1), 1e-3, name="sq")
+    task = SignTask(lambda x: x.sqr() + 1.0, Interval(-1, 1), 1e-3)
     res = validate_sign(task)
     path = tmp_path / "cert.csv"
     write_certificate_csv(path, [("sq", res)])

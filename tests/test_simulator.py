@@ -149,9 +149,10 @@ def test_arc_chord_collapse_halts():
     assert err.value.time > 0
 
 
-def test_step_size_underflow():
+def test_step_size_underflow(monkeypatch):
+    monkeypatch.setattr(simulator, "MIN_STEP", 1.0)
     st = ellipse_state(1.0, 3.0, 128)
-    cfg = SimConfig(alpha=1.0, t_final=1.0, min_step=1.0)
+    cfg = SimConfig(alpha=1.0, t_final=1.0)
     with pytest.raises(StepSizeUnderflow):
         evolve(st, cfg)
 
