@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -128,12 +129,16 @@ def cmd_prove_rotation(args):
     started = _utc_now()
     alphas = args.alpha or [0.5, 1.0, 1.5]
     ratios = args.axis_ratio or [0.1, 0.5, 0.9]
+    bad = [f"alpha {a} outside (0, 2)" for a in alphas if not 0.0 < a < 2.0]
+    bad += [f"axis ratio {r} outside (0, 1)" for r in ratios if not 0.0 < r < 1.0]
+    if not 0.0 < args.delta < math.pi / 4:  # the interior [delta, pi/2 - delta] must exist
+        bad.append(f"delta {args.delta} outside (0, pi/4)")
+    if bad:
+        print("; ".join(bad), file=sys.stderr)
+        return 2
     failures = 0
     rows = []
     for a in alphas:
-        if not 0.0 < a < 2.0:
-            print(f"alpha {a} outside (0, 2)", file=sys.stderr)
-            return 2
         for r in ratios:
             cert = ellipse_rotation_check(
                 Interval.around(a), r, delta=args.delta, min_width=args.min_width

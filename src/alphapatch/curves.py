@@ -136,12 +136,15 @@ def d_poly(k, u, u2=None):
 
 
 def _check_inside(u):
-    """Bump closed form needs the value enclosure strictly inside (-pi, pi)."""
+    """Bump closed form needs the value enclosure strictly inside (-pi, pi)
+    (on a batch: the lanes outside are flagged)."""
     d0 = u.d0 if isinstance(u, Jet4) else u
-    if not (-math.pi < d0.lo and d0.hi < math.pi):
-        raise DomainViolation(
+    d0.require(
+        (-math.pi < d0.lo) & (d0.hi < math.pi),
+        lambda: DomainViolation(
             f"bump closed form evaluated at {d0!r} touching +-pi; use hull_enclosure"
-        )
+        ),
+    )
 
 
 def bump_envelope(u):

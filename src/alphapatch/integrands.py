@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .interval import Interval, DomainViolation, SignOutcome, PI, TWO_PI, ZERO
 from .jets import Jet4
 from .curves import (
@@ -107,13 +109,18 @@ class _PointData:
 
 
 def _side_of(value):
-    if value.hi < 0.0:
+    """-1 if y lies left of the window, +1 if right of it.  A batch lies left
+    only if every lane does; otherwise its lanes not right of the window are
+    flagged."""
+    if np.all(value.hi < 0.0):
         return -1
-    if value.lo > 0.0:
-        return 1
-    raise DomainViolation(
-        f"integrand evaluated across the singularity window: y = {value!r}"
+    value.require(
+        value.lo > 0.0,
+        lambda: DomainViolation(
+            f"integrand evaluated across the singularity window: y = {value!r}"
+        ),
     )
+    return 1
 
 
 def _dot(a, b):

@@ -8,8 +8,19 @@ padded by two ulps per endpoint, which covers any libm with less than one ulp
 of error (true of glibc/musl for the functions used here); monotone pieces
 are evaluated at the endpoints and sin/cos account for interior extrema.
 
-All values are immutable and the functions are pure, so everything in this
+Intervals are immutable and the functions are pure, so everything in this
 module is safe to share across threads and processes.
+
+:class:`IntervalArray` holds many independent intervals ("lanes") in numpy
+arrays and gives, lane by lane, bit for bit what :class:`Interval` gives.
+Arithmetic runs in numpy (IEEE basic operations are correctly rounded there
+too, and ``np.nextafter`` rounds outward); exp, log, sin and cos go through
+``math`` lane by lane, so the two-ulp padding keeps covering the same libm.
+A lane whose :class:`Interval` evaluation would raise is flagged instead.
+All arrays derived from one batch share one mutable flag mask, so a failure
+anywhere in lane i's evaluation marks lane i even where a later operation
+(a product with an exact zero, say) hides it in the values.  numpy may warn
+about the flagged lanes; batches run under ``np.errstate(all="ignore")``.
 """
 
 from __future__ import annotations
@@ -17,8 +28,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "Interval",
+    "IntervalArray",
     "SignOutcome",
     "IntervalError",
     "DivisionByZeroInterval",
@@ -224,6 +238,21 @@ class Interval:
         """x/2 without outward padding (halving a double is exact)."""
         return _mk(0.5 * self.lo, 0.5 * self.hi)
 
+    def sign_times(self, x):
+        """``x`` times the sign of this interval, exactly (a negation or
+        nothing); the interval must not contain 0."""
+        if self.lo > 0.0:
+            return x
+        if self.hi < 0.0:
+            return -x
+        raise DomainViolation(f"sign of {self!r}, which contains 0")
+
+    def require(self, ok, error):
+        """Raise ``error()`` unless ``ok``.  On an :class:`IntervalArray`,
+        ``ok`` is a lane mask and the lanes where it is False are flagged."""
+        if not ok:
+            raise error()
+
     # -- elementary functions ----------------------------------------------
 
     def sqr(self):
@@ -368,8 +397,12 @@ def _sin_cos(X, which):
     shift = 0.5 if which == 0 else 0.0
     k_lo = int(math.floor(a / math.pi - shift)) - 1
     k_hi = int(math.ceil(b / math.pi - shift)) + 1
+    table = _CRIT[which]
     for k in range(k_lo, k_hi + 1):
-        crit = PI * (k + shift)
+        if -_CRIT_K <= k <= _CRIT_K:
+            crit = table[k + _CRIT_K]
+        else:
+            crit = PI * (k + shift)
         if crit.hi >= a and crit.lo <= b:
             if k % 2 == 0:
                 hi = 1.0
@@ -398,3 +431,355 @@ ONE = Interval(1.0, 1.0)
 PI = _mk(math.pi, _NEXT(math.pi, _INF))
 TWO_PI = _mk(math.tau, _NEXT(math.tau, _INF))
 SQRT3_THIRD = Interval(3.0).sqrt() / 3.0
+
+# enclosures of the sin/cos critical points pi * (k + 1/2) and pi * k for
+# |k| <= _CRIT_K, formed once rather than on every call; indexed by k + _CRIT_K
+_CRIT_K = 64
+_CRIT = tuple(
+    tuple(PI * (k + shift) for k in range(-_CRIT_K, _CRIT_K + 1)) for shift in (0.5, 0.0)
+)
+
+
+def _crit_arrays(table, parity):
+    """Ends of the table's enclosures for k of one parity (a maximum for
+    even k, a minimum for odd k), ascending; a +inf lower end closes them."""
+    picked = [c for k, c in zip(range(-_CRIT_K, _CRIT_K + 1), table) if k % 2 == parity]
+    return np.array([c.lo for c in picked] + [math.inf]), np.array([c.hi for c in picked])
+
+
+# [sin, cos][even k, odd k] -> (lower ends, upper ends)
+_CRIT_ARRAYS = tuple(tuple(_crit_arrays(table, parity) for parity in (0, 1)) for table in _CRIT)
+
+# |argument| bound of the vectorised sin/cos lanes: their critical points
+# then stay well inside the table
+_SIN_COS_ARG = 150.0
+# exp lanes above this run on the scalar path, which owns the overflow rules
+_EXP_ARG = 709.0
+
+
+# ---------------------------------------------------------------------------
+# lanes of intervals
+# ---------------------------------------------------------------------------
+
+
+def _dn(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _map(fn, x):
+    """``fn`` (a libm function from ``math``) on every element of ``x``."""
+    return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
+
+
+def _zero_lanes(lo, hi):
+    """Mask of the lanes equal to [0, 0], or False if there are none."""
+    zero = (lo == 0.0) & (hi == 0.0)
+    return zero if np.count_nonzero(zero) else False
+
+
+def _is_zero(iv):
+    """The lanes of ``iv`` equal to [0, 0] (False if none); a plain bool for
+    a single interval."""
+    if isinstance(iv, IntervalArray):
+        return iv.zero
+    return iv.lo == 0.0 and iv.hi == 0.0
+
+
+def _both_zero(zx, zy):
+    zero = zx & zy
+    return zero if zero is not False and np.count_nonzero(zero) else False
+
+
+def _operand(x):
+    if isinstance(x, Interval):
+        return x
+    if isinstance(x, (int, float)):
+        return Interval(x)
+    return None
+
+
+def _lanes_of(x, y):
+    return x if isinstance(x, IntervalArray) else y
+
+
+def _flag_overflow(batch, lo, hi):
+    # an outward step from a finite or infinite raw endpoint overflows
+    # exactly when it lands on -inf (lo) or +inf (hi); a NaN arises only in
+    # lanes flagged already
+    batch.err |= lo == -np.inf
+    batch.err |= hi == np.inf
+
+
+def _add(x, y):
+    """x + y lane by lane, as ``Interval.__add__(x, y)``."""
+    zx, zy = _is_zero(x), _is_zero(y)
+    if zy is True:
+        return x
+    if zx is True and zy is False:
+        return y
+    batch = _lanes_of(x, y)
+    lo = _dn(x.lo + y.lo)
+    hi = _up(x.hi + y.hi)
+    _flag_overflow(batch, lo, hi)
+    if (zx | zy) is not False:
+        lo = np.where(zy, x.lo, np.where(zx, y.lo, lo))
+        hi = np.where(zy, x.hi, np.where(zx, y.hi, hi))
+    return IntervalArray(lo, hi, batch.err, _both_zero(zx, zy))
+
+
+def _sub(x, y):
+    """x - y lane by lane, as ``Interval.__sub__(x, y)``."""
+    zx, zy = _is_zero(x), _is_zero(y)
+    if zy is True:
+        return x
+    if zx is True and zy is False:
+        return -y
+    batch = _lanes_of(x, y)
+    lo = _dn(x.lo - y.hi)
+    hi = _up(x.hi - y.lo)
+    _flag_overflow(batch, lo, hi)
+    if (zx | zy) is not False:
+        lo = np.where(zy, x.lo, np.where(zx, -y.hi, lo))
+        hi = np.where(zy, x.hi, np.where(zx, -y.lo, hi))
+    return IntervalArray(lo, hi, batch.err, _both_zero(zx, zy))
+
+
+def _mul(x, y):
+    """x * y lane by lane, as ``Interval.__mul__``.  The product is symmetric
+    bit for bit (the same four products; the outward step erases the sign
+    of a zero), so the lanes may come first."""
+    if not isinstance(x, IntervalArray):
+        x, y = y, x
+    zy = _is_zero(y)
+    if zy is True:
+        return ZERO
+    a, b, c, d = x.lo, x.hi, y.lo, y.hi
+    if isinstance(y, IntervalArray) or c != d:
+        p1, p2, p3, p4 = a * c, a * d, b * c, b * d
+        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    elif c > 0.0:  # a point factor: rounding is monotone, so a*c <= b*c
+        lo, hi = a * c, b * c
+    else:
+        lo, hi = b * c, a * c
+    lo, hi = _dn(lo), _up(hi)
+    _flag_overflow(x, lo, hi)
+    zero = x.zero | zy
+    if zero is not False:
+        lo = np.where(zero, 0.0, lo)
+        hi = np.where(zero, 0.0, hi)
+    return IntervalArray(lo, hi, x.err, zero)
+
+
+def _div(x, y):
+    """x / y lane by lane, as ``Interval.__truediv__(x, y)``."""
+    batch = _lanes_of(x, y)
+    c, d = y.lo, y.hi
+    straddles = (c <= 0.0) & (0.0 <= d)
+    if straddles is True:
+        raise DivisionByZeroInterval(f"denominator {y!r} contains 0")
+    if straddles is not False:
+        batch.err |= straddles
+    zx = _is_zero(x)
+    if zx is True:
+        return ZERO
+    a, b = x.lo, x.hi
+    if isinstance(y, IntervalArray) or c != d:
+        q1, q2, q3, q4 = a / c, a / d, b / c, b / d
+        lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+        hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
+    elif c > 0.0:  # a point divisor: rounding is monotone
+        lo, hi = a / c, b / c
+    else:
+        lo, hi = b / c, a / c
+    lo, hi = _dn(lo), _up(hi)
+    _flag_overflow(batch, lo, hi)
+    if zx is not False:
+        lo = np.where(zx, 0.0, lo)
+        hi = np.where(zx, 0.0, hi)
+    return IntervalArray(lo, hi, batch.err, zx)
+
+
+class IntervalArray(Interval):
+    """Independent intervals ("lanes") with float64 array endpoints.
+
+    Every operation gives, lane by lane, the bits :class:`Interval` gives,
+    including its zero short-circuits and signed zeros.  Where
+    :class:`Interval` would raise, the lane is flagged in ``err`` instead: a
+    bool array shared by every array derived from one batch.  The endpoints
+    of a flagged lane mean nothing.  An operand may be another array of the
+    same batch, a single interval or a number, which then applies to every
+    lane.  Comparisons and queries that would need one answer for all lanes
+    (``mid``, ``hull``, ``==`` and the like) are not supported.
+
+    ``zero`` masks the lanes equal to [0, 0], or is False if there are none,
+    which is what the zero short-circuits test.  It is worked out here
+    unless the operation knows it: an outward-rounded endpoint pair is never
+    [0, 0], so only the short-circuited lanes can be.
+    """
+
+    __slots__ = ("err", "zero")
+    __array_ufunc__ = None  # a numpy scalar operand defers to the methods below
+
+    def __init__(self, lo, hi, err, zero=None):
+        self.lo = lo
+        self.hi = hi
+        self.err = err
+        self.zero = _zero_lanes(lo, hi) if zero is None else zero
+
+    @classmethod
+    def batch(cls, lo, hi):
+        """The point arrays [lo, lo] and [hi, hi] and the array [lo, hi],
+        sharing one fresh flag mask."""
+        err = np.zeros(lo.size, bool)
+        return cls(lo, lo, err), cls(hi, hi, err), cls(lo, hi, err)
+
+    def __add__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else _add(self, other)
+
+    def __radd__(self, other):
+        # Interval + lanes adds in that order; a number + Interval adds the
+        # number to the interval (Interval.__radd__)
+        if isinstance(other, Interval):
+            return _add(other, self)
+        other = _operand(other)
+        return NotImplemented if other is None else _add(self, other)
+
+    def __sub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else _sub(self, other)
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else _sub(other, self)
+
+    def __mul__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else _mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else _div(self, other)
+
+    def __rtruediv__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else _div(other, self)
+
+    def __neg__(self):
+        return IntervalArray(-self.hi, -self.lo, self.err, self.zero)
+
+    def __abs__(self):
+        lo, hi = self.lo, self.hi
+        pos, neg = lo >= 0.0, hi <= 0.0
+        straddle_hi = np.where(hi > -lo, hi, -lo)  # Python's max(-lo, hi)
+        return IntervalArray(
+            np.where(pos, lo, np.where(neg, -hi, 0.0)),
+            np.where(pos, hi, np.where(neg, -lo, straddle_hi)),
+            self.err,
+        )
+
+    def half(self):
+        return IntervalArray(0.5 * self.lo, 0.5 * self.hi, self.err)
+
+    def is_zero(self):
+        """True only if every lane is [0, 0]."""
+        return self.zero is not False and bool(self.zero.all())
+
+    def sign_times(self, x):
+        neg = self.hi < 0.0
+        self.require(neg | (self.lo > 0.0), None)
+        minus = -x
+        return IntervalArray(np.where(neg, minus.lo, x.lo), np.where(neg, minus.hi, x.hi), self.err)
+
+    def require(self, ok, error):
+        self.err |= ~ok
+
+    def _scalar_lanes(self, lo, hi, lanes, method):
+        """(lo, hi) with the unflagged ``lanes`` recomputed by the single-
+        interval ``method``; a lane where it raises is flagged."""
+        for i in np.flatnonzero(lanes & ~self.err).tolist():
+            try:
+                r = method(Interval(self.lo[i], self.hi[i]))
+            except IntervalError:
+                self.err[i] = True
+            else:
+                lo[i], hi[i] = r.lo, r.hi
+        return IntervalArray(lo, hi, self.err)
+
+    # -- elementary functions ----------------------------------------------
+
+    def sqr(self):
+        a, b = self.lo, self.hi
+        aa, bb = a * a, b * b
+        hi = _up(np.maximum(aa, bb))
+        self.err |= hi == np.inf
+        lo = np.where((a <= 0.0) & (0.0 <= b), 0.0, _dn(np.minimum(aa, bb)))
+        return IntervalArray(lo, hi, self.err, False)
+
+    def sqrt(self):
+        slow = ~(self.lo > 0.0)
+        lo = _dn(_dn(np.sqrt(np.where(slow, 1.0, self.lo))))
+        hi = _up(_up(np.sqrt(np.where(slow, 1.0, self.hi))))
+        return self._scalar_lanes(lo, hi, slow, Interval.sqrt)
+
+    def exp(self):
+        slow = ~(self.hi <= _EXP_ARG)
+        lo = _dn(_dn(_map(math.exp, np.where(slow, 0.0, self.lo))))
+        lo = np.where(lo < 0.0, 0.0, lo)
+        hi = _up(_up(_map(math.exp, np.where(slow, 0.0, self.hi))))
+        return self._scalar_lanes(lo, hi, slow, Interval.exp)
+
+    def log(self):
+        slow = ~(self.lo > 0.0)
+        lo = _dn(_dn(_map(math.log, np.where(slow, 1.0, self.lo))))
+        hi = _up(_up(_map(math.log, np.where(slow, 1.0, self.hi))))
+        return self._scalar_lanes(lo, hi, slow, Interval.log)
+
+    def pow(self, p):
+        return (_operand(p) * self.log()).exp()
+
+    def sin(self):
+        return _sin_cos_lanes(self, 0)
+
+    def cos(self):
+        return _sin_cos_lanes(self, 1)
+
+    def tan(self):
+        n = self.lo.size
+        return self._scalar_lanes(np.zeros(n), np.zeros(n), np.ones(n, bool), Interval.tan)
+
+
+def _sin_cos_lanes(X, which):
+    """:func:`_sin_cos` on every lane; lanes with a large argument or width
+    run through :func:`_sin_cos` itself."""
+    a, b = X.lo, X.hi
+    slow = ~((-_SIN_COS_ARG <= a) & (b <= _SIN_COS_ARG) & (b - a < TWO_PI.hi))
+    a, b = np.where(slow, 0.0, a), np.where(slow, 0.0, b)
+    f = math.sin if which == 0 else math.cos
+    va, vb = _map(f, a), _map(f, b)
+    lo = np.maximum(_dn(_dn(np.minimum(va, vb))), -1.0)
+    hi = np.minimum(_up(_up(np.maximum(va, vb))), 1.0)
+    # _sin_cos's k window holds every critical-point enclosure that meets
+    # [a, b].  The enclosures of one parity are ordered, so one of them
+    # meets [a, b] exactly if the first whose upper end reaches a has its
+    # lower end at most b.
+    (even_lo, even_hi), (odd_lo, odd_hi) = _CRIT_ARRAYS[which]
+    hi = np.where(even_lo[np.searchsorted(even_hi, a)] <= b, 1.0, hi)
+    lo = np.where(odd_lo[np.searchsorted(odd_hi, a)] <= b, -1.0, lo)
+    if which == 0:
+        clamp_lo = (a >= 0.0) & (b <= math.pi)
+        clamp_hi = ~clamp_lo & (b <= 0.0) & (a >= -math.pi)
+        hi = np.where(clamp_hi & (0.0 < hi), 0.0, hi)
+    else:
+        clamp_lo = (a >= -math.pi / 2) & (b <= math.pi / 2)
+    lo = np.where(clamp_lo & (0.0 > lo), 0.0, lo)
+    swap = lo > hi
+    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    return X._scalar_lanes(lo, hi, slow, Interval.sin if which == 0 else Interval.cos)

@@ -14,7 +14,7 @@ fixed truncation.  Jets are immutable and thread-safe like intervals.
 
 from __future__ import annotations
 
-from .interval import Interval, DomainViolation, ZERO, ONE
+from .interval import Interval, ZERO, ONE
 
 __all__ = ["Jet4"]
 
@@ -219,12 +219,9 @@ class Jet4:
         return (self.log() * p).exp()
 
     def __abs__(self):
+        """|f| = sign(f) f; the value interval must not contain 0."""
         d0 = self.c[0]
-        if d0.lo > 0.0:
-            return self
-        if d0.hi < 0.0:
-            return -self
-        raise DomainViolation("abs of a jet whose value interval straddles 0")
+        return Jet4(tuple(d0.sign_times(c) for c in self.c))
 
     def half(self):
         """Exact halving of every coefficient."""

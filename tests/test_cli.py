@@ -124,6 +124,29 @@ def test_prove_convexity_rejects_bad_input(tmp_path, capsys, monkeypatch, flags)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--axis-ratio", "1.5"],
+        ["--axis-ratio", "0"],
+        ["--alpha", "1.0", "--alpha", "3"],
+        ["--alpha", "0", "--axis-ratio", "-0.5"],
+        ["--alpha", "nan"],
+        ["--delta", "1"],
+        ["--delta", "0"],
+    ],
+)
+def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
+    """One line on stderr and exit 2, before any pair is certified."""
+    import alphapatch.cli as cli
+
+    monkeypatch.setattr(cli, "ellipse_rotation_check", lambda *a, **k: pytest.fail("work started"))
+    out_dir = tmp_path / "out"
+    assert main(["prove-rotation", *flags, "--out-dir", str(out_dir)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_simulate_circle(tmp_path, capsys):
     code = main(
         [

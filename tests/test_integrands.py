@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -19,6 +20,7 @@ from alphapatch.integrands import (
 )
 
 import oracles
+from lanes import assert_lanes_match, lanes, single
 
 C15 = Bump(Interval.around(0.15))
 C45 = Bump(Interval.around(0.45))
@@ -310,7 +312,8 @@ def test_value_slot_matches_interval_evaluation(curve):
     outcomes = set()
     for regime, lo, hi in _VALUE_SLOT_BANDS:
         f = make_kt_integrand(_spec(regime, lo, hi, curve))
-        for x in _node_intervals(rnd, 30):
+        xs = _node_intervals(rnd, 30)
+        for x in xs:
             try:
                 plain = f(x)
             except IntervalError:
@@ -324,4 +327,21 @@ def test_value_slot_matches_interval_evaluation(curve):
             else:
                 assert plain == slot, (regime, lo, hi, x, plain, slot)
             outcomes.add(plain is None)
+        _assert_batched_evaluation_matches(f, xs, regime)
     assert outcomes == {True, False}
+
+
+def _assert_batched_evaluation_matches(f, xs, what):
+    """The nodes as lanes, one batch per side of the window as the quadrature
+    batches them: the plain evaluation and all five jet slots carry each
+    lane's single-interval bits and are flagged exactly where it raises."""
+    left = [x for x in xs if x.hi < 0.0]
+    for side in (left, [x for x in xs if not x.hi < 0.0]):
+        with np.errstate(all="ignore"):
+            X = lanes(side)
+            assert_lanes_match(f(X), [single(f, x) for x in side], (what, "plain"), X)
+            X = lanes(side)
+            jet = f(Jet4.variable(X))
+            for k in range(5):
+                singles = [single(lambda x: f(Jet4.variable(x)).deriv(k), x) for x in side]
+                assert_lanes_match(jet.deriv(k), singles, (what, "jet", k), X)

@@ -1,11 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from alphapatch.jets import Jet4
+
+from lanes import assert_lanes_match, bits, lanes, single
+
 from alphapatch.interval import (
     Interval,
+    IntervalError,
     DivisionByZeroInterval,
     DomainViolation,
     EndpointOverflow,
@@ -179,13 +185,22 @@ def test_inclusion_monotonicity():
             assert f(X, Y).is_subset(f(Xp, Yp))
 
 
-def test_elem_containment_random():
-    rnd = random.Random(3)
-    for _ in range(5000):
+def _elem_sample(seed, count):
+    rnd = random.Random(seed)
+    out = []
+    for _ in range(count):
         c = rnd.uniform(-8, 8)
         w = abs(rnd.gauss(0, 0.5))
         X = Interval(c - w, c + w)
-        x = rnd.uniform(X.lo, X.hi)
+        out.append((X, rnd.uniform(X.lo, X.hi)))
+    return out
+
+
+_ELEM_ORACLES = {"sin": mp.sin, "cos": mp.cos, "log": mp.log, "sqrt": mp.sqrt, "exp": mp.exp}
+
+
+def test_elem_containment_random():
+    for X, x in _elem_sample(3, 5000):
         assert X.sin().contains(math.sin(x)) or mpf(X.sin().lo) <= mp.sin(mpf(x)) <= mpf(X.sin().hi)
         assert mpf(X.cos().lo) <= mp.cos(mpf(x)) <= mpf(X.cos().hi)
         if X.lo > 0:
@@ -193,3 +208,166 @@ def test_elem_containment_random():
             assert mpf(X.sqrt().lo) <= mp.sqrt(mpf(x)) <= mpf(X.sqrt().hi)
         if X.hi < 700:
             assert mpf(X.exp().lo) <= mp.exp(mpf(x)) <= mpf(X.exp().hi)
+
+
+def test_elem_containment_random_array():
+    """The same sample as one batch of lanes: every lane contains the true
+    value, carries the bits of the single-interval result, and is flagged
+    exactly where that one raises (log and sqrt of lanes reaching <= 0)."""
+    sample = _elem_sample(3, 5000)
+    for name, oracle in _ELEM_ORACLES.items():
+        X = lanes([X for X, _ in sample])
+        R = getattr(X, name)()
+        assert_lanes_match(R, [single(getattr(Xi, name)) for Xi, _ in sample], name, X)
+        for i, (Xi, x) in enumerate(sample):
+            if not R.err[i]:
+                assert mpf(R.lo[i]) <= oracle(mpf(x)) <= mpf(R.hi[i]), (name, Xi, x)
+
+
+# ---------------------------------------------------------------------------
+# IntervalArray against Interval, lane by lane
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(autouse=True)
+def _quiet_numpy():
+    # flagged lanes may overflow or divide by zero; the flags report it
+    with np.errstate(all="ignore"):
+        yield
+
+
+_SPECIAL = [
+    Interval(0.0),
+    Interval(-0.0),
+    Interval(-0.0, 0.0),
+    Interval(0.0, 1.0),
+    Interval(-1.0, -0.0),
+    Interval(-2.0, 3.0),
+    Interval(-3.0, 2.0),
+    Interval(2.0, 3.0),
+    Interval(-3.0, -2.0),
+    Interval(1.5),
+    Interval(-1.5),
+    Interval(5e-324),
+    Interval(-5e-324, 5e-324),
+    Interval(1e-200, 1e-190),
+    Interval(1e300, 1e308),
+    Interval(-1.7e308, -1e308),
+    Interval(-1.7e308, 1.7e308),
+    Interval(700.0, 709.7),
+    Interval(709.0, 710.0),
+    Interval(-800.0, -745.0),
+    Interval(1e13, 1e13 + 1.0),
+    Interval(-2.0 * math.pi, 0.5),
+    Interval(1.5, 1.6),
+]
+
+
+def _operands():
+    rnd = random.Random(11)
+    return _SPECIAL + [_rand_interval(rnd) for _ in range(20)]
+
+
+_BINARY = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_BINARY))
+def test_array_binary_ops_match_interval(op):
+    """Every pair of operands, as lanes against lanes, lanes against one
+    interval and one number on either side: same bits, zero short-circuits
+    and signed zeros included, and a flag exactly where Interval raises."""
+    fn = _BINARY[op]
+    ops = _operands()
+    xs = [x for x in ops for _ in ops]
+    ys = [y for _ in ops for y in ops]
+    X, Y = lanes(xs), lanes(ys)
+    Y.err = X.err  # one batch
+    assert_lanes_match(fn(X, Y), [single(fn, x, y) for x, y in zip(xs, ys)], op, X)
+    for y in ops + [2.0, -0.5, 0.0, 3]:
+        X = lanes(ops)
+        expect = [single(fn, x, y) for x in ops]
+        assert_lanes_match(single(fn, X, y) or _flagged(X), expect, (op, y), X)
+        X = lanes(ops)
+        expect = [single(fn, y, x) for x in ops]
+        assert_lanes_match(single(fn, y, X) or _flagged(X), expect, (op, "left", y), X)
+
+
+def _flagged(X):
+    """The batch with every lane flagged: what a raising operation means
+    for lanes (a single divisor across zero fails them all)."""
+    X.err[:] = True
+    return X
+
+
+def _unary_cases():
+    cases = {
+        "neg": lambda x: -x,
+        "abs": abs,
+        "half": lambda x: x.half(),
+        "sqr": lambda x: x.sqr(),
+        "sqrt": lambda x: x.sqrt(),
+        "exp": lambda x: x.exp(),
+        "log": lambda x: x.log(),
+        "sin": lambda x: x.sin(),
+        "cos": lambda x: x.cos(),
+        "tan": lambda x: x.tan(),
+        "pow": lambda x: x.pow(Interval(0.5, 1.5)),
+    }
+    cases.update({f"powi{n}": (lambda x, n=n: x.powi(n)) for n in (-3, -2, -1, 0, 1, 2, 3, 4, 5)})
+    return cases
+
+
+@pytest.mark.parametrize("op", sorted(_unary_cases()))
+def test_array_unary_ops_match_interval(op):
+    fn = _unary_cases()[op]
+    ops = _operands()
+    X = lanes(ops)
+    assert_lanes_match(fn(X), [single(fn, x) for x in ops], op, X)
+
+
+def test_array_sin_cos_match_interval_random():
+    """sin and cos on wide, narrow, point and multi-period lanes, including
+    ends exactly on the critical-point enclosures."""
+    rnd = random.Random(5)
+    ops = [Interval(0.0, math.pi), Interval(-math.pi / 2, math.pi / 2), Interval(math.pi / 2)]
+    for k in range(-6, 7):
+        for crit in (PI * k, PI * (k + 0.5)):
+            for end in (crit.lo, crit.hi):
+                for e in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)):
+                    ops += [Interval(e - 0.25, e), Interval(e, e + 0.25), Interval(e)]
+    for _ in range(4000):
+        c = rnd.uniform(-160.0, 160.0)
+        w = rnd.choice((0.0, 1e-9, 0.3, 2.0, 7.0)) * rnd.random()
+        ops.append(Interval(c - w, c + w))
+    for name in ("sin", "cos"):
+        X = lanes(ops)
+        assert_lanes_match(getattr(X, name)(), [getattr(x, name)() for x in ops], name, X)
+
+
+def test_array_error_mask_sticks():
+    """A lane whose log fails stays flagged through later operations that
+    hide it in the values: the jet's deriv(4) comes out finite, and a
+    product with an exact zero is the single ZERO."""
+    X = lanes([Interval(-2.0, -1.0), Interval(1.0, 2.0)])
+    d4 = Jet4.variable(X).log().deriv(4)
+    assert np.isfinite(d4.lo).all() and np.isfinite(d4.hi).all()
+    assert X.err.tolist() == [True, False]
+    Y = lanes([Interval(-2.0, -1.0), Interval(1.0, 2.0)])
+    assert (Y.log() * 0.0).is_zero()
+    assert Y.err.tolist() == [True, False]
+
+
+def test_jet_abs_on_lanes():
+    """|f| of a jet flips the lanes with a negative value, keeps the
+    positive ones and flags those across zero."""
+    ops = [Interval(1.0, 2.0), Interval(-2.0, -1.0), Interval(-1.0, 1.0), Interval(0.0, 1.0)]
+    X = lanes(ops)
+    jet = abs(Jet4.variable(X).sqr() * X)
+    for k in range(5):
+        singles = [single(lambda x: abs(Jet4.variable(x).sqr() * x).deriv(k), x) for x in ops]
+        assert_lanes_match(jet.deriv(k), singles, k, X)

@@ -1,9 +1,13 @@
 import math
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from mpmath import mpf
 
-from alphapatch.interval import Interval, DomainViolation, IntervalError, ZERO
+from alphapatch import quadrature
+from alphapatch.interval import Interval, IntervalArray, DomainViolation, IntervalError, ZERO
 from alphapatch.curves import Bump
 from alphapatch.integrands import IntegrandSpec, Regime, make_kt_integrand
 from alphapatch.jets import Jet4
@@ -100,8 +104,9 @@ def test_tiling_accounting():
 
 
 def _reference_integrate(f, a, b, tol):
-    """The adaptive loop with the full GL2 enclosure, jet included,
-    evaluated on every cell: (enclosure, cells, depth cap hit)."""
+    """The adaptive loop, depth first on single intervals, with the full GL2
+    enclosure, jet included, evaluated on every cell: (enclosure, cells,
+    depth cap hit)."""
     total, count, depth_hit = ZERO, 0, False
     stack = [(a, b, 0)]
     while stack:
@@ -125,7 +130,8 @@ def _reference_integrate(f, a, b, tol):
             total = total + enc
             count += 1
             continue
-        assert not final
+        if final:
+            raise NonEvaluable(f"integrand not evaluable on [{lo}, {hi}] at depth cap")
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
     return total, count, depth_hit
@@ -179,3 +185,59 @@ def test_pruning_matches_full_evaluation_alpha_limited():
         assert res.max_depth_hit
         assert res.subinterval_count == 2**7
         assert res.jet_evaluations == 2**7 + 1
+
+
+def test_level_wider_than_one_chunk():
+    """An alpha-like parameter band keeps every cell too wide, so level 9
+    holds 512 cells, two full chunks."""
+    band = Interval(1.0, 1.001)
+    tol = Tolerance(1e-9, 1e-9, 9)
+    res = _assert_same_as_reference(lambda x: (x * band).sin(), 0.0, 4.0, tol)
+    assert res.subinterval_count == 2**9 > quadrature.CHUNK
+    assert res.max_depth_hit
+
+
+def test_chunk_boundaries_change_nothing(monkeypatch):
+    """Chunks of three cells split every level at odd places; every closed
+    form still gets the single-cell enclosure, cell count and depth flag."""
+    monkeypatch.setattr(quadrature, "CHUNK", 3)
+    for name, fn, a, b, _ in CASES[::3]:
+        _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
+
+
+def test_chunk_mixing_failing_and_good_cells():
+    """|x| near 0: the jet fails on the cells touching 0 and succeeds on the
+    rest of the same batch, where the crude bound stands in."""
+    tol = Tolerance(1e-7, 1e-7, 12)
+    res = _assert_same_as_reference(lambda x: abs(x), -0.7, 1.3, tol)
+    assert res.jet_evaluations > res.subinterval_count > 2
+
+
+def test_non_evaluable_names_the_depth_first_cell():
+    """log(x - 0.3) fails on every cell reaching below 0.3; the batched
+    driver raises for the same cell a depth-first walk stops at."""
+    f = lambda x: (x - 0.3).log()
+    tol = Tolerance(1e-6, 1e-6, 6)
+    with pytest.raises(NonEvaluable) as batched:
+        adaptive_integrate(f, 0.0, 1.0, tol)
+    with pytest.raises(NonEvaluable) as depth_first:
+        _reference_integrate(f, 0.0, 1.0, tol)
+    assert str(batched.value) == str(depth_first.value)
+
+
+def test_jet_batch_memory():
+    """One full chunk of order-4 jets stays under 1 MiB of numpy and Python
+    allocations; a larger chunk would raise a worker's peak RSS."""
+    spec = IntegrandSpec.for_regime(Regime.SMALL_ALPHA, Interval(0.02, 0.0201), Bump(Interval.around(0.15)))
+    f = make_kt_integrand(spec)
+    edges = np.linspace(1.0 / 128.0, math.pi, quadrature.CHUNK + 1)
+    cells = IntervalArray.batch(edges[:-1], edges[1:])
+    with np.errstate(all="ignore"):
+        tracemalloc.start()
+        try:
+            quadrature._remainder(f, *cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert not cells[0].err.any()
+    assert peak < 2**20
