@@ -222,6 +222,8 @@ def cmd_prove_convexity(args):
     started = _utc_now()
     try:
         tol = Tolerance(args.abs_tol, args.rel_tol, args.max_depth)
+        if args.workers < 1:
+            raise ValueError(f"--workers {args.workers} must be at least 1")
         if args.full_sweep:
             intervals = full_sweep_intervals(args.sweep_step)
         else:
@@ -360,9 +362,13 @@ def write_diagnostics_csv(path, diags):
 
 def cmd_simulate(args):
     started = _utc_now()
-    cfgmap = load_sim_config(args.config, args.set or [])
-    state = _initial_state(cfgmap)
-    cfg = sim.SimConfig(alpha=cfgmap["alpha"], **{key: cfgmap[key] for key in _SOLVER_KEYS})
+    try:
+        cfgmap = load_sim_config(args.config, args.set or [])
+        state = _initial_state(cfgmap)
+        cfg = sim.SimConfig(alpha=cfgmap["alpha"], **{key: cfgmap[key] for key in _SOLVER_KEYS})
+    except (OSError, ValueError, OverflowError) as exc:  # int(float("inf")) overflows
+        print(exc, file=sys.stderr)
+        return 2
     os.makedirs(args.out_dir, exist_ok=True)
     halted = None
     reached = []

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .interval import Interval, DomainViolation, SignOutcome, PI, TWO_PI, ZERO
+from .interval import Interval, IntervalArray, DomainViolation, SignOutcome, PI, TWO_PI, ZERO
 from .jets import Jet4
 from .curves import (
     EPS_ZONE,
@@ -108,19 +108,22 @@ class _PointData:
         self.c = w.cos()  # equals -cos(C) < 0
 
 
-def _side_of(value):
-    """-1 if y lies left of the window, +1 if right of it.  A batch lies left
-    only if every lane does; otherwise its lanes not right of the window are
-    flagged."""
-    if np.all(value.hi < 0.0):
-        return -1
+def _shift(value):
+    """The period shift that brings pi - y back into [-pi, pi]: TWO_PI where
+    y lies left of the window and ZERO where it lies right of it, lane by
+    lane on a batch.  Lanes on neither side are flagged (a single interval
+    raises)."""
+    left = value.hi < 0.0
     value.require(
-        value.lo > 0.0,
+        left | (value.lo > 0.0),
         lambda: DomainViolation(
             f"integrand evaluated across the singularity window: y = {value!r}"
         ),
     )
-    return 1
+    if isinstance(value, IntervalArray):
+        # subtracting a [0, 0] lane leaves that lane's bits as they are
+        return IntervalArray(np.where(left, TWO_PI.lo, 0.0), np.where(left, TWO_PI.hi, 0.0), value.err)
+    return TWO_PI if left else ZERO
 
 
 def _dot(a, b):
@@ -128,11 +131,13 @@ def _dot(a, b):
 
 
 def _pieces(spec, pt, y):
-    """Shared differences and inner products at offset y (jet or interval)."""
+    """Shared differences and inner products at offset y (jet or interval).
+
+    The alpha integrands slice off z1 and z2, which they do not use, so a
+    batch of jets frees those lanes before the kernel's temporaries pile up.
+    """
     d0 = y.d0 if isinstance(y, Jet4) else y
-    u = PI - y
-    if _side_of(d0) < 0:
-        u = u - TWO_PI
+    u = PI - y - _shift(d0)
     z1 = z1_derivs(u, 3)
     z2 = z2_derivs(u, 3, spec.curve.c_phase)
     dz = (-1.0 - z1[0], pt.s - z2[0])
@@ -176,7 +181,7 @@ def _alpha_kernels(spec, q):
 
 
 def _big_alpha(spec, pt, y):
-    z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
+    dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)[2:]
     a = spec.alpha
     p_a, p_2a, p_4a = _alpha_kernels(spec, q)
     dz_dzx = _dot(dz, dzx)
@@ -194,7 +199,7 @@ def _big_alpha(spec, pt, y):
 
 
 def _small_alpha(spec, pt, y):
-    z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
+    dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)[2:]
     a = spec.alpha
     p_a, p_2a, p_4a = _alpha_kernels(spec, q)
     ld = q.log() * 0.5  # log |dz|

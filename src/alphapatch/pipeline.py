@@ -178,11 +178,12 @@ def process(ps):
     spec = IntegrandSpec.for_regime(regime, ps.alpha, curve)
     f = make_kt_integrand(spec)
     p = math.pi
-    halves = [
-        adaptive_integrate(f, WINDOW_HALF, p, ps.tol),
-        adaptive_integrate(f, -p, -WINDOW_HALF, ps.tol),
-    ]
-    total = halves[0].enclosure + halves[1].enclosure
+    # both halves in one walk: their cells share each level's batches, and
+    # each half is summed on its own from left to right before the two are
+    # added, right half first, so the total is the sum of two separate walks
+    # bit for bit
+    quad = adaptive_integrate(f, [(WINDOW_HALF, p), (-p, -WINDOW_HALF)], ps.tol)
+    total = quad.enclosure
     # the one-ulp slivers [math.pi, pi] and [-pi, -math.pi]: the integrand is
     # regular there (x - y is near 0), in every regime.  The very-big-alpha
     # counter-kernel sgn(y)/|2 tan(y/2)|^{alpha-1}, singular at y = pi, is not
@@ -203,9 +204,9 @@ def process(ps):
         outcome,
         total,
         regime,
-        cells=sum(q.subinterval_count for q in halves),
-        jet_evaluations=sum(q.jet_evaluations for q in halves),
-        max_depth_hit=any(q.max_depth_hit for q in halves),
+        cells=quad.subinterval_count,
+        jet_evaluations=quad.jet_evaluations,
+        max_depth_hit=quad.max_depth_hit,
     )
 
 

@@ -38,6 +38,15 @@ cell therefore gets exactly the enclosure the one-cell evaluation gives.
 The accepted enclosures are summed from left to right, the order a
 depth-first walk accepts them in, so the total is the same bit for bit as
 well.
+
+:func:`adaptive_integrate` takes several disjoint domains and walks them
+together: a level is the cells of every domain, sorted by left end, so a
+chunk may hold cells of two domains and a level that would be small in each
+fills fewer, larger batches.  Each domain's accepted cells are still summed
+on their own from left to right, and the domain sums are added in the order
+the domains are given, so the enclosure is bit for bit the sum of one walk
+per domain, and the cells, jet evaluations and depth-cap flag are their
+totals.
 """
 
 from __future__ import annotations
@@ -196,14 +205,35 @@ def _chunk(f, lo, hi, final, tol):
     return elo, ehi, accept, int(np.count_nonzero(want_jet)), bool(np.count_nonzero(accept & wide))
 
 
-def adaptive_integrate(f, a, b, tol=Tolerance()):
-    """Adaptive GL2 integration of ``f`` over [a, b] with guaranteed enclosure."""
-    if not a < b:
-        raise ValueError("need a < b")
+def _sorted_domains(domains):
+    """The (a, b) domains sorted by left end; ValueError if there are none,
+    if one is empty or reversed, or if two overlap."""
+    ordered = sorted((float(a), float(b)) for a, b in domains)
+    if not ordered:
+        raise ValueError("need at least one domain")
+    for a, b in ordered:
+        if not a < b:
+            raise ValueError(f"need a < b, got domain ({a}, {b})")
+    for (_, b), (a, _) in zip(ordered, ordered[1:]):
+        if a < b:
+            raise ValueError(f"domains overlap on [{a}, {b}]")
+    return ordered
+
+
+def adaptive_integrate(f, domains, tol=Tolerance()):
+    """Adaptive GL2 integration of ``f`` over the disjoint ``domains``, a
+    sequence of (a, b) pairs, with guaranteed enclosure.
+
+    All domains are walked together, one level list sorted by left end.
+    The enclosure is the sum of the domains' enclosures in the order given,
+    each summed from left to right; cells, jet evaluations and the depth-cap
+    flag are over all domains.
+    """
+    ordered = _sorted_domains(domains)
     jets = 0
     depth_hit = False
     accepted = []  # per chunk: (cell lo, enclosure lo, enclosure hi) of its accepted cells
-    lo, hi = np.array([float(a)]), np.array([float(b)])
+    lo, hi = np.array([a for a, _ in ordered]), np.array([b for _, b in ordered])
     depth = 0
     with np.errstate(all="ignore"):
         while lo.size:
@@ -222,8 +252,15 @@ def adaptive_integrate(f, a, b, tol=Tolerance()):
             lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
             depth += 1
     # each chunk's accepted cells run from left to right; merged by their
-    # left ends, they come in the order a depth-first walk accepts them
+    # left ends, each domain's cells come in the order a depth-first walk
+    # over that domain alone accepts them in
+    sums = [ZERO] * len(ordered)
+    k = 0
+    for c_lo, e_lo, e_hi in heapq.merge(*(zip(*run) for run in accepted)):
+        while c_lo >= ordered[k][1]:
+            k += 1
+        sums[k] = sums[k] + Interval(e_lo, e_hi)
     total = ZERO
-    for _, e_lo, e_hi in heapq.merge(*(zip(*run) for run in accepted)):
-        total = total + Interval(e_lo, e_hi)
+    for a, b in domains:
+        total = total + sums[ordered.index((a, b))]
     return QuadratureResult(total, sum(run[0].size for run in accepted), depth_hit, jets)

@@ -80,10 +80,12 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 2.0:
             raise ValueError("alpha must lie in [0, 2)")
-        if self.rk_abs_tol <= 0 or self.rk_rel_tol <= 0:
+        if not (self.rk_abs_tol > 0 and self.rk_rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.filter_strength <= 0 or self.filter_order <= 0:
+        if not (self.filter_strength > 0 and self.filter_order > 0):
             raise ValueError("filter parameters must be positive")
+        if not (self.t_final > 0 and self.snapshot_interval > 0):
+            raise ValueError("t_final and snapshot_interval must be positive")
 
 
 @dataclass

@@ -136,12 +136,12 @@ def test_criterion_4_quadrature_oracles():
     tol = Tolerance(1e-6, 1e-6, 13)
     t0 = time.time()
     for name, fn, a, b, exact in CASES:
-        res = adaptive_integrate(fn, a, b, tol)
+        res = adaptive_integrate(fn, [(a, b)], tol)
         assert mpf(res.enclosure.lo) <= exact <= mpf(res.enclosure.hi), name
-    sin_res = adaptive_integrate(lambda x: x.sin(), 0.0, math.pi, tol)
+    sin_res = adaptive_integrate(lambda x: x.sin(), [(0.0, math.pi)], tol)
     assert sin_res.enclosure.lo <= 2.0 <= sin_res.enclosure.hi
     assert sin_res.enclosure.width() <= 1e-5
-    cubic = adaptive_integrate(lambda x: x.powi(3), 0.0, 1.0, tol)
+    cubic = adaptive_integrate(lambda x: x.powi(3), [(0.0, 1.0)], tol)
     assert cubic.enclosure.width() <= 1e-12
     assert cubic.enclosure.lo <= 0.25 <= cubic.enclosure.hi
     print(f"[PASS] criterion 4: 50 closed-form integrals enclosed ({time.time()-t0:.1f}s)")

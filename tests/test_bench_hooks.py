@@ -49,6 +49,29 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, capsys):
     assert metrics["signcheck.evaluations"] > 0
 
 
+def test_traced_convexity_counts_quadrature_cells(tmp_path, capsys):
+    """The traced pass reads cells and the depth-cap flag from the result of
+    every ``adaptive_integrate`` call that ``process`` makes; summed, the
+    cells are the manifest's total."""
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    try:
+        argv = ["prove-convexity", "--c-phase", "0.15", "--alpha", "0:0", "--workers", "1"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    quad = [s for s in tracer.spans if s[1] == "quadrature.adaptive_integrate"]
+    assert quad
+    for span in quad:
+        assert set(span[5]) == {"cells", "cap_hit"}
+        assert tracer.spans[span[4]][1] == "pipeline.process"
+    metrics = tracing.rollup(tracer, wall_s=1.0)
+    with open(tmp_path / "manifest.json") as fh:
+        total = json.load(fh)["quadrature"]["total"]
+    assert metrics["quadrature.cells"] == total["cells"] > 0
+    assert metrics["quadrature.integrand_calls"] > 0
+
+
 def test_micro_quick_tier_reports_declared_metrics():
     metrics = micro.run(1, 0.05)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:

@@ -111,6 +111,8 @@ def test_prove_convexity_requires_alpha(tmp_path):
         ["--alpha", "0.1:0.2:0.3"],
         ["--alpha", "1.5:2.5"],
         ["--alpha=-0.5:0"],
+        ["--alpha", "0:0", "--workers", "0"],
+        ["--alpha", "0:0", "--workers", "-3"],
     ],
 )
 def test_prove_convexity_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
@@ -143,6 +145,31 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
     monkeypatch.setattr(cli, "ellipse_rotation_check", lambda *a, **k: pytest.fail("work started"))
     out_dir = tmp_path / "out"
     assert main(["prove-rotation", *flags, "--out-dir", str(out_dir)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ["--set", "n=100"],
+        ["--set", "n=inf"],
+        ["--set", "alpha=2.5"],
+        ["--set", "colour=red"],
+        ["--set", "shape=square"],
+        ["--set", "t_final=-1"],
+        ["--set", "t_final=0"],
+        ["--set", "snapshot_interval=0"],
+        ["--set", "rk_abs_tol=nan"],
+        ["no/such/dir/run.cfg"],
+    ],
+)
+def test_simulate_rejects_bad_config(tmp_path, capsys, monkeypatch, config):
+    """One line on stderr and exit 2, before the run starts or any file is
+    written."""
+    monkeypatch.setattr(sim, "evolve", lambda *a, **k: pytest.fail("work started"))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--set", "n=64", *config, "--out-dir", str(out_dir)]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out_dir.exists()
 

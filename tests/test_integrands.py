@@ -146,19 +146,28 @@ def test_counterterm_odd_cancellation():
 
 def test_dalpha_matches_alpha_derivative():
     """Central difference of the plain target in alpha lies inside the
-    DI enclosure (pointwise in y)."""
+    DI enclosure (pointwise in y), in the small-alpha range and across the
+    big and very-big ones; the enclosure also contains the mpmath oracle of
+    DI."""
     h = 1e-4
     y = Interval(1.3)
-    for a0 in (0.02, 0.03):
-        f_di = make_kt_integrand(_spec(Regime.SMALL_ALPHA, a0))
-        spec_p = IntegrandSpec(Regime.BIG_ALPHA, Interval(a0 + h), C15)
-        spec_m = IntegrandSpec(Regime.BIG_ALPHA, Interval(a0 - h), C15)
-        fp = make_kt_integrand(spec_p)(y)
-        fm = make_kt_integrand(spec_m)(y)
-        fd = (fp.mid() - fm.mid()) / (2 * h)
-        enc = f_di(y)
-        budget = h * h * 10.0 + 1e-9
-        assert enc.lo - budget <= fd <= enc.hi + budget, a0
+    zk = oracles.make_curve(mpf("0.15"))
+    mp.dps = 60
+    try:
+        for a0 in (0.02, 0.03, 0.5, 1.0, 1.96):
+            f_di = make_kt_integrand(_spec(Regime.SMALL_ALPHA, a0))
+            spec_p = IntegrandSpec(Regime.BIG_ALPHA, Interval(a0 + h), C15)
+            spec_m = IntegrandSpec(Regime.BIG_ALPHA, Interval(a0 - h), C15)
+            fp = make_kt_integrand(spec_p)(y)
+            fm = make_kt_integrand(spec_m)(y)
+            fd = (fp.mid() - fm.mid()) / (2 * h)
+            enc = f_di(y)
+            budget = h * h * 10.0 + 1e-9
+            assert enc.lo - budget <= fd <= enc.hi + budget, a0
+            want = oracles.integrand_dalpha(zk, mpf(repr(y.lo)), mpf(repr(a0)))
+            assert mpf(enc.lo) <= want <= mpf(enc.hi), a0
+    finally:
+        mp.dps = 30
 
 
 def test_residual_closed_forms():
@@ -332,16 +341,17 @@ def test_value_slot_matches_interval_evaluation(curve):
 
 
 def _assert_batched_evaluation_matches(f, xs, what):
-    """The nodes as lanes, one batch per side of the window as the quadrature
-    batches them: the plain evaluation and all five jet slots carry each
-    lane's single-interval bits and are flagged exactly where it raises."""
-    left = [x for x in xs if x.hi < 0.0]
-    for side in (left, [x for x in xs if not x.hi < 0.0]):
-        with np.errstate(all="ignore"):
-            X = lanes(side)
-            assert_lanes_match(f(X), [single(f, x) for x in side], (what, "plain"), X)
-            X = lanes(side)
-            jet = f(Jet4.variable(X))
-            for k in range(5):
-                singles = [single(lambda x: f(Jet4.variable(x)).deriv(k), x) for x in side]
-                assert_lanes_match(jet.deriv(k), singles, (what, "jet", k), X)
+    """The nodes as lanes of one batch, across both sides of the window as
+    the quadrature batches them, plus a lane straddling the window: the plain
+    evaluation and all five jet slots carry each lane's single-interval bits
+    and are flagged exactly where it raises."""
+    xs = xs + [Interval(-1e-3, 2e-3)]
+    assert {x.hi < 0.0 for x in xs} == {True, False}
+    with np.errstate(all="ignore"):
+        X = lanes(xs)
+        assert_lanes_match(f(X), [single(f, x) for x in xs], (what, "plain"), X)
+        X = lanes(xs)
+        jet = f(Jet4.variable(X))
+        for k in range(5):
+            singles = [single(lambda x: f(Jet4.variable(x)).deriv(k), x) for x in xs]
+            assert_lanes_match(jet.deriv(k), singles, (what, "jet", k), X)

@@ -142,3 +142,28 @@ def test_worker_sharding_matches_sequential(tmp_path):
     for a, b in zip(seq, par):
         assert a.enclosure.lo == b.enclosure.lo
         assert a.enclosure.hi == b.enclosure.hi
+
+
+# process() per ParameterSet, as first certified with one quadrature walk per
+# y-half: enclosure endpoints (float.hex), cells, jet evaluations and the
+# depth-cap flag.  The six point sets of the prove-point benchmark and one
+# alpha band
+_PROCESS_BITS = {
+    (0.15, 0.0, 0.0): ("-0x1.493bbf915a444p-5", "-0x1.48ccaa6f18cf0p-5", 311, 620, False),
+    (0.15, 0.02, 0.02): ("-0x1.6b2d93549c584p-6", "-0x1.69f940cd12514p-6", 413, 824, False),
+    (0.15, 1.0, 1.0): ("0x1.3316602a51034p+0", "0x1.331b699d7a814p+0", 483, 964, False),
+    (0.15, 1.96, 1.96): ("0x1.ca4800c22a134p+3", "0x1.ca4939313e924p+3", 571, 1140, False),
+    (0.45, 0.0, 0.0): ("-0x1.d0cfb79366fd4p-4", "-0x1.d099e2cf504c0p-4", 319, 636, False),
+    (0.45, 1.0, 1.0): ("0x1.c895e567427e8p+1", "0x1.c8986326e158cp+1", 491, 980, False),
+    (0.15, 1.0, 1.0001): ("0x1.31a25e7be8f7cp+0", "0x1.34a845b429b44p+0", 4633, 4667, True),
+}
+
+
+@pytest.mark.parametrize("key", list(_PROCESS_BITS), ids=lambda k: "C{}-{}:{}".format(*k))
+def test_process_frozen_bits(key):
+    """Enclosure, cells, jet evaluations and depth-cap flag are bit for bit
+    what they were when each y-half had its own quadrature walk."""
+    c, lo, hi = key
+    v = process(ParameterSet.for_phase(lo, hi, c))
+    got = (v.enclosure.lo.hex(), v.enclosure.hi.hex(), v.cells, v.jet_evaluations, v.max_depth_hit)
+    assert got == _PROCESS_BITS[key]

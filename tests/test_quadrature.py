@@ -35,7 +35,7 @@ def test_gl2_quartic_remainder_formula():
 
 
 def test_adaptive_sin_pi():
-    res = adaptive_integrate(lambda x: x.sin(), 0.0, math.pi, Tolerance(1e-6, 1e-6, 13))
+    res = adaptive_integrate(lambda x: x.sin(), [(0.0, math.pi)], Tolerance(1e-6, 1e-6, 13))
     assert res.enclosure.lo <= 2.0 <= res.enclosure.hi
     assert res.enclosure.width() <= 1e-5
     assert res.subinterval_count <= 64
@@ -43,7 +43,7 @@ def test_adaptive_sin_pi():
 
 
 def test_cubic_single_cell():
-    res = adaptive_integrate(lambda x: x.powi(3), 0.0, 1.0, Tolerance(1e-6, 1e-6, 13))
+    res = adaptive_integrate(lambda x: x.powi(3), [(0.0, 1.0)], Tolerance(1e-6, 1e-6, 13))
     assert res.subinterval_count == 1
     assert res.enclosure.lo <= 0.25 <= res.enclosure.hi
 
@@ -53,20 +53,20 @@ def test_pathological_raises():
         raise DomainViolation("always fails")
 
     with pytest.raises(NonEvaluable):
-        adaptive_integrate(bad, 0.0, 1.0, Tolerance(1e-6, 1e-6, 3))
+        adaptive_integrate(bad, [(0.0, 1.0)], Tolerance(1e-6, 1e-6, 3))
 
 
 def test_order0_fallback():
     # |x| on a cell straddling 0 fails at jet level (abs of straddling value)
     # but the zeroth-order interval bound still applies
-    res = adaptive_integrate(lambda x: abs(x), -1.0, 1.0, Tolerance(1e-3, 1e-3, 6))
+    res = adaptive_integrate(lambda x: abs(x), [(-1.0, 1.0)], Tolerance(1e-3, 1e-3, 6))
     assert res.enclosure.lo <= 1.0 <= res.enclosure.hi
 
 
 def test_fifty_closed_forms_smoke():
     tol = Tolerance(1e-6, 1e-6, 13)
     for name, fn, a, b, exact in CASES[::5]:
-        res = adaptive_integrate(fn, a, b, tol)
+        res = adaptive_integrate(fn, [(a, b)], tol)
         assert mpf(res.enclosure.lo) <= exact <= mpf(res.enclosure.hi), name
 
 
@@ -75,8 +75,8 @@ def test_refinement_monotonicity():
         (lambda x: x.sin(), 0.0, math.pi),
         (lambda x: x.exp(), 0.0, 1.0),
     ]:
-        coarse = adaptive_integrate(fn, a, b, Tolerance(1e-4, 1e-4, 13)).enclosure
-        fine = adaptive_integrate(fn, a, b, Tolerance(5e-5, 5e-5, 13)).enclosure
+        coarse = adaptive_integrate(fn, [(a, b)], Tolerance(1e-4, 1e-4, 13)).enclosure
+        fine = adaptive_integrate(fn, [(a, b)], Tolerance(5e-5, 5e-5, 13)).enclosure
         slack = 4 * math.ulp(max(abs(coarse.lo), abs(coarse.hi)))
         assert fine.lo >= coarse.lo - slack
         assert fine.hi <= coarse.hi + slack
@@ -90,14 +90,14 @@ def test_depth_cap_accepts_wide_cells():
     def f(jet):
         return jet * 0.0 + wide
 
-    res = adaptive_integrate(f, 0.0, 1.0, Tolerance(1e-9, 1e-9, 5))
+    res = adaptive_integrate(f, [(0.0, 1.0)], Tolerance(1e-9, 1e-9, 5))
     assert res.max_depth_hit
     assert res.subinterval_count == 2**5
     assert res.enclosure.lo <= 1.0 <= 1.1 <= res.enclosure.hi
 
 
 def test_tiling_accounting():
-    res = adaptive_integrate(lambda x: (x * 4.0).sin() + 2.0, 0.0, 2.0, Tolerance(1e-5, 1e-5, 13))
+    res = adaptive_integrate(lambda x: (x * 4.0).sin() + 2.0, [(0.0, 2.0)], Tolerance(1e-5, 1e-5, 13))
     assert res.subinterval_count <= 2**13
     exact = (1 - math.cos(8.0)) / 4.0 + 4.0
     assert res.enclosure.lo <= exact <= res.enclosure.hi
@@ -138,12 +138,67 @@ def _reference_integrate(f, a, b, tol):
 
 
 def _assert_same_as_reference(f, a, b, tol):
-    res = adaptive_integrate(f, a, b, tol)
+    res = adaptive_integrate(f, [(a, b)], tol)
     enc, count, depth_hit = _reference_integrate(f, a, b, tol)
     assert (res.enclosure.lo, res.enclosure.hi) == (enc.lo, enc.hi)
     assert res.subinterval_count == count
     assert res.max_depth_hit == depth_hit
     return res
+
+
+def _hex(iv):
+    return iv.lo.hex(), iv.hi.hex()
+
+
+def _assert_walks_add_up(f, domains, tol):
+    """One walk over ``domains`` equals the one-domain walks bit for bit:
+    their enclosures added in the order given, and their cells, jet
+    evaluations and depth-cap flags in total."""
+    res = adaptive_integrate(f, domains, tol)
+    singles = [adaptive_integrate(f, [d], tol) for d in domains]
+    total = ZERO
+    for one in singles:
+        total = total + one.enclosure
+    assert _hex(res.enclosure) == _hex(total)
+    assert res.subinterval_count == sum(one.subinterval_count for one in singles)
+    assert res.jet_evaluations == sum(one.jet_evaluations for one in singles)
+    assert res.max_depth_hit == any(one.max_depth_hit for one in singles)
+
+
+def _domain_splits(a, b):
+    """Disjoint pieces of [a, b], never in left-to-right order: two touching
+    at an off-centre point, two with a gap between them, and three (whose
+    sums do not associate, so their order matters)."""
+    m, g = a + 0.375 * (b - a), a + 0.625 * (b - a)
+    return [(m, b), (a, m)], [(g, b), (a, m)], [(g, b), (a, m), (m, g)]
+
+
+def test_multi_domain_walk_adds_up_closed_forms():
+    """Every closed form over pieces of its domain, walked together."""
+    tol = Tolerance(1e-6, 1e-6, 13)
+    for _, fn, a, b, _ in CASES:
+        for domains in _domain_splits(a, b):
+            _assert_walks_add_up(fn, domains, tol)
+
+
+def test_multi_domain_chunks_straddle_domains(monkeypatch):
+    """Chunks of three cells put cells of two domains into one batch on
+    every level that holds cells of both."""
+    monkeypatch.setattr(quadrature, "CHUNK", 3)
+    for _, fn, a, b, _ in CASES[::3]:
+        for domains in _domain_splits(a, b):
+            _assert_walks_add_up(fn, domains, Tolerance(1e-6, 1e-6, 13))
+    band = Interval(1.0, 1.001)
+    _assert_walks_add_up(lambda x: (x * band).sin(), [(2.0, 4.0), (-1.0, 1.0)], Tolerance(1e-9, 1e-9, 6))
+
+
+@pytest.mark.parametrize(
+    "domains",
+    [[], [(1.0, 0.0)], [(0.0, 1.0), (2.0, 2.0)], [(0.0, 1.0), (0.5, 2.0)], [(1.0, 3.0), (0.0, 2.0)], [(0.0, 1.0)] * 2],
+)
+def test_bad_domains_rejected(domains):
+    with pytest.raises(ValueError):
+        adaptive_integrate(lambda x: x, domains)
 
 
 def test_pruning_matches_full_evaluation_closed_forms():
@@ -180,11 +235,15 @@ def test_pruning_matches_full_evaluation_alpha_limited():
     spec = IntegrandSpec.for_regime(Regime.BIG_ALPHA, Interval(1.0, 1.001), Bump(Interval.around(0.15)))
     f = make_kt_integrand(spec)
     tol = Tolerance(max_depth=7)
-    for a, b in ((1.0 / 128.0, math.pi), (-math.pi, -1.0 / 128.0)):
+    halves = [(1.0 / 128.0, math.pi), (-math.pi, -1.0 / 128.0)]
+    for a, b in halves:
         res = _assert_same_as_reference(f, a, b, tol)
         assert res.max_depth_hit
         assert res.subinterval_count == 2**7
         assert res.jet_evaluations == 2**7 + 1
+    # both halves in one walk, as process() integrates them: every level
+    # batches cells from both sides of the window
+    _assert_walks_add_up(f, halves, tol)
 
 
 def test_level_wider_than_one_chunk():
@@ -219,7 +278,7 @@ def test_non_evaluable_names_the_depth_first_cell():
     f = lambda x: (x - 0.3).log()
     tol = Tolerance(1e-6, 1e-6, 6)
     with pytest.raises(NonEvaluable) as batched:
-        adaptive_integrate(f, 0.0, 1.0, tol)
+        adaptive_integrate(f, [(0.0, 1.0)], tol)
     with pytest.raises(NonEvaluable) as depth_first:
         _reference_integrate(f, 0.0, 1.0, tol)
     assert str(batched.value) == str(depth_first.value)
