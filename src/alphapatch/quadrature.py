@@ -208,7 +208,7 @@ def _chunk(f, lo, hi, final, tol):
 def _sorted_domains(domains):
     """The (a, b) domains sorted by left end; ValueError if there are none,
     if one is empty or reversed, or if two overlap."""
-    ordered = sorted((float(a), float(b)) for a, b in domains)
+    ordered = sorted(domains)
     if not ordered:
         raise ValueError("need at least one domain")
     for a, b in ordered:
@@ -222,13 +222,9 @@ def _sorted_domains(domains):
 
 def adaptive_integrate(f, domains, tol=Tolerance()):
     """Adaptive GL2 integration of ``f`` over the disjoint ``domains``, a
-    sequence of (a, b) pairs, with guaranteed enclosure.
-
-    All domains are walked together, one level list sorted by left end.
-    The enclosure is the sum of the domains' enclosures in the order given,
-    each summed from left to right; cells, jet evaluations and the depth-cap
-    flag are over all domains.
-    """
+    sequence of (a, b) pairs walked together, with guaranteed enclosure: the
+    sum of the domains' enclosures in the order given."""
+    domains = [(float(a), float(b)) for a, b in domains]
     ordered = _sorted_domains(domains)
     jets = 0
     depth_hit = False
