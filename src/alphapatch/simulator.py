@@ -12,6 +12,15 @@ constant: with normal speed U and tangent angle theta, V solves
 V_x = U theta_x - mean(U theta_x), which keeps an initially uniform
 parametrization uniform (the patch shape only depends on the normal part).
 
+The O(N^2) pair work (the kernel sum and the arc-chord minimum) runs ROWS
+rows at a time in two reused (ROWS, N) buffers, and each block is reduced as
+soon as it is filled, so no (N, N) array is ever made.  All derivatives a
+velocity call needs come from one rfft and one batched irfft with cached
+multipliers.  Up to N = 512 the results are bit-identical to full-matrix
+evaluation with one transform pair per derivative; for larger N, OpenBLAS
+may round a (ROWS, N) @ (N, 2) block product apart from the full product
+by a few 1e-15 of its largest entry.
+
 Runs are single-threaded and deterministic; independent runs can go in
 parallel freely.
 """
@@ -47,6 +56,9 @@ MIN_STEP = 1e-12
 # stays below this are zeroed after each accepted step, which keeps the
 # grid-scale instability of the singular kernel from feeding on roundoff
 NOISE_FLOOR = 1e-13
+# rows per block of the O(N^2) pair work: each block lives in two (ROWS, N)
+# buffers, 1 MiB at N = 512, and is reduced before the next is filled
+ROWS = 128
 
 
 class ArcChordCollapse(RuntimeError):
@@ -86,6 +98,8 @@ class SimConfig:
             raise ValueError("filter parameters must be positive")
         if not (self.t_final > 0 and self.snapshot_interval > 0):
             raise ValueError("t_final and snapshot_interval must be positive")
+        if not (0.0 < self.arc_chord_factor < 1.0):
+            raise ValueError("arc_chord_factor must lie in (0, 1)")
 
 
 @dataclass
@@ -122,34 +136,83 @@ def alpha_patch_constant(alpha, jump):
     )
 
 
-def spectral_derivative(values, order=1, filtered=False, filter_strength=10.0, filter_order=8):
-    """Differentiate samples of a 2pi-periodic function on a uniform grid."""
-    values = np.asarray(values, dtype=float)
+@functools.lru_cache(maxsize=8)
+def _multipliers(n, orders, filter_spec):
+    """Spectral multipliers (ik)^order, one row per order; read-only.
+
+    Odd orders zero the Nyquist mode, which has no well-defined odd
+    derivative.  filter_spec is None or (strength, order) of the exponential
+    filter exp(-strength (k / (n/2))^order).
+    """
+    k = np.arange(n // 2 + 1, dtype=float)
+    mults = np.empty((len(orders), k.size), dtype=complex)
+    for row, order in enumerate(orders):
+        mult = (1j * k) ** order
+        if order % 2 == 1:
+            mult[-1] = 0.0
+        if filter_spec is not None:
+            strength, filter_order = filter_spec
+            mult = mult * np.exp(-strength * (k / (n / 2.0)) ** filter_order)
+        mults[row] = mult
+    mults.flags.writeable = False
+    return mults
+
+
+def _derivatives(values, orders, filter_spec):
+    """Derivatives of every order in orders from one rfft and one batched
+    irfft: shape (len(orders),) + values.shape."""
     n = values.shape[0]
     if n & (n - 1):
         raise ValueError("grid size must be a power of two")
+    mults = _multipliers(n, orders, filter_spec)
     spec = np.fft.rfft(values, axis=0)
-    k = np.arange(spec.shape[0], dtype=float)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-    if filtered:
-        mult = mult * np.exp(-filter_strength * (k / (n / 2.0)) ** filter_order)
-    shape = (-1,) + (1,) * (values.ndim - 1)
-    spec = spec * mult.reshape(shape)
-    return np.fft.irfft(spec, n=n, axis=0)
+    spec = spec * mults.reshape(mults.shape + (1,) * (values.ndim - 1))
+    return np.fft.irfft(spec, n=n, axis=1)
 
 
-def _dist2(points):
-    """|z_i - z_j|^2, one coordinate at a time (no (N, N, 2) temporary)."""
-    diff = points[:, None, 0] - points[None, :, 0]
-    dist2 = diff * diff
-    np.subtract(points[:, None, 1], points[None, :, 1], out=diff)
-    diff *= diff
-    dist2 += diff
-    return dist2
+def spectral_derivative(values, order=1, filtered=False, filter_strength=10.0, filter_order=8):
+    """Differentiate samples of a 2pi-periodic function on a uniform grid."""
+    values = np.asarray(values, dtype=float)
+    filter_spec = (filter_strength, filter_order) if filtered else None
+    return _derivatives(values, (order,), filter_spec)[0]
 
 
+def _pair_blocks(z):
+    """|z_i - z_j|^2 for ROWS rows i at a time, with no (N, N) array.
+
+    Yields (rows, dist2, diag): the slice of i, a (rows, N) view of a buffer
+    that the next block overwrites, and a view of its i = j entries, which
+    are set to 1.  Each entry has the bits of the full-matrix computation.
+    """
+    n = z.shape[0]
+    x, y = z[:, 0].copy(), z[:, 1].copy()
+    height = min(ROWS, n)
+    # one allocation for both buffers: once freed it stays on glibc's heap
+    # (its mmap threshold rises to the freed size), so later calls reuse it
+    # instead of faulting in fresh pages; two separate 512 KiB buffers at
+    # N = 512 were returned to the system and faulted in on every call
+    dist2_buf, diff_buf = np.empty((2, height, n))
+    for start in range(0, n, height):
+        rows = slice(start, min(start + height, n))
+        dist2 = dist2_buf[: rows.stop - start]
+        diff = diff_buf[: rows.stop - start]
+        # x_i - x_j as a column copy, then a subtraction along contiguous
+        # rows: numpy runs a subtraction from a broadcast column about 1.4x
+        # slower
+        np.copyto(dist2, x[rows, None])
+        dist2 -= x
+        dist2 *= dist2
+        np.copyto(diff, y[rows, None])
+        diff -= y
+        diff *= diff
+        dist2 += diff
+        # entry (r, start + r) of a C-contiguous (rows, N) block
+        diag = dist2.reshape(-1)[start :: n + 1]
+        diag[...] = 1.0
+        yield rows, dist2, diag
+
+
+@functools.lru_cache(maxsize=8)
 def _even_defect(n, beta):
     """W(beta) - h * grid sum of |2 sin(y/2)|^beta (singular node excluded).
 
@@ -166,6 +229,7 @@ def _even_defect(n, beta):
     return w - h * s
 
 
+@functools.lru_cache(maxsize=4)
 def _log_defect(n):
     """0 - h * sum of log(2 sin(y/2)) over the grid (= -h log N exactly)."""
     h = TWO_PI / n
@@ -180,19 +244,23 @@ def _kernel_sum(z, zx, alpha):
     """The O(N^2) trapezoidal sum over j != i of the boundary integral.
 
     For alpha = 0 it is sum_j log|z_i - z_j| z_x(j); otherwise
-    sum_j K_ij (z_x(i) - z_x(j)) with K_ij = |z_i - z_j|^{-alpha}.
+    sum_j K_ij (z_x(i) - z_x(j)) with K_ij = |z_i - z_j|^{-alpha}.  Each
+    block of rows is reduced as soon as it is filled.
     """
-    dist2 = _dist2(z)
-    np.fill_diagonal(dist2, 1.0)
-    if alpha == 0.0:
-        logd = 0.5 * np.log(dist2)
-        np.fill_diagonal(logd, 0.0)
-        return logd @ zx
-    kern = dist2 ** (-alpha / 2.0)
-    np.fill_diagonal(kern, 0.0)
-    # sum_j K_ij (z_x(i) - z_x(j)) = (sum_j K_ij) z_x(i) - sum_j K_ij z_x(j):
-    # a row sum and a matrix product, with no (N, N, 2) difference array
-    return kern.sum(1)[:, None] * zx - kern @ zx
+    out = np.empty_like(zx)
+    for rows, kern, diag in _pair_blocks(z):
+        if alpha == 0.0:
+            np.log(kern, out=kern)
+            kern *= 0.5
+            diag[...] = 0.0
+            out[rows] = kern @ zx
+        else:
+            np.power(kern, -alpha / 2.0, out=kern)
+            diag[...] = 0.0
+            # sum_j K_ij (z_x(i) - z_x(j)) = (sum_j K_ij) z_x(i) - sum_j K_ij z_x(j):
+            # a row sum and a matrix product, with no (N, N, 2) difference array
+            out[rows] = kern.sum(1)[:, None] * zx[rows] - kern @ zx
+    return out
 
 
 def velocity(state, cfg):
@@ -206,10 +274,9 @@ def velocity(state, cfg):
     z = state.points
     n = state.n
     h = TWO_PI / n
-    fs, fo = cfg.filter_strength, cfg.filter_order
-    zx = spectral_derivative(z, 1, True, fs, fo)
-    zxx = spectral_derivative(z, 2, True, fs, fo)
-    zxxx = spectral_derivative(z, 3, True, fs, fo)
+    orders = (1, 2, 3) if cfg.alpha == 0.0 else (1, 2, 3, 4, 5)
+    derivs = _derivatives(z, orders, (cfg.filter_strength, cfg.filter_order))
+    zx, zxx, zxxx = derivs[:3]
     const = alpha_patch_constant(cfg.alpha, cfg.jump)
     speed2_arr = np.einsum("ik,ik->i", zx, zx)
     if cfg.alpha == 0.0:
@@ -227,8 +294,7 @@ def velocity(state, cfg):
         # sgn(y)|y|^{1-alpha} (G0 + G1 y + G2 y^2 + G3 y^3 + ...); odd
         # singular orders self-cancel on the symmetric grid, the even ones
         # (G1, G3) are compensated through closed-form period integrals
-        zxxxx = spectral_derivative(z, 4, True, fs, fo)
-        zxxxxx = spectral_derivative(z, 5, True, fs, fo)
+        zxxxx, zxxxxx = derivs[3:]
         a0 = speed2_arr
         u1 = np.einsum("ik,ik->i", zx, zxx) / a0
         u2 = (
@@ -298,21 +364,27 @@ def _periodic_antiderivative(values):
 
 @functools.lru_cache(maxsize=4)
 def _chord_matrix(n):
-    """|2 sin((x_i - x_j)/2)| on the grid, 1 on the diagonal; read-only."""
-    i = np.arange(n)
-    param = np.abs(i[:, None] - i[None, :]) * (TWO_PI / n)
-    chord = 2.0 * np.abs(np.sin(param / 2.0))
-    np.fill_diagonal(chord, 1.0)
-    chord.flags.writeable = False
-    return chord
+    """|2 sin((x_i - x_j)/2)| on the grid, 1 on the diagonal; read-only.
+
+    The matrix depends on |i - j| only, so it is an (N, N) view of 2N - 1
+    values: row i is the window of N values that starts N - 1 - i values in.
+    """
+    lag = np.abs(np.arange(1 - n, n)) * (TWO_PI / n)
+    chord = 2.0 * np.abs(np.sin(lag / 2.0))
+    chord[n - 1] = 1.0
+    return np.lib.stride_tricks.sliding_window_view(chord, n)[::-1]
 
 
 def arc_chord_min(state):
-    ratio = np.sqrt(_dist2(state.points))
-    np.fill_diagonal(ratio, 1.0)
-    ratio /= _chord_matrix(state.n)
-    np.fill_diagonal(ratio, np.inf)
-    return float(ratio.min())
+    """min over i != j of |z_i - z_j| / |2 sin((x_i - x_j)/2)|."""
+    chord = _chord_matrix(state.n)
+    best = np.inf
+    for rows, ratio, diag in _pair_blocks(state.points):
+        np.sqrt(ratio, out=ratio)
+        ratio /= chord[rows]
+        diag[...] = np.inf
+        best = np.minimum(best, ratio.min())  # keeps a NaN, as one full min would
+    return float(best)
 
 
 @dataclass

@@ -161,6 +161,10 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
         ["--set", "t_final=0"],
         ["--set", "snapshot_interval=0"],
         ["--set", "rk_abs_tol=nan"],
+        ["--set", "arc_chord_factor=2"],
+        ["--set", "arc_chord_factor=1"],
+        ["--set", "arc_chord_factor=0"],
+        ["--set", "arc_chord_factor=nan"],
         ["no/such/dir/run.cfg"],
     ],
 )

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,14 +195,56 @@ def _reference_kernel_sum(z, zx, alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
 def test_velocity_matches_pairwise_reference(alpha, monkeypatch):
+    """Within 1e-12 of the (N, N, 2) reference.  Up to N = 512 the row blocks
+    give the full-matrix bits; at N = 1024 OpenBLAS rounds a (ROWS, N) @ (N, 2)
+    block product apart from the full product by about 2.5e-15 of its largest
+    entry."""
     cfg = SimConfig(alpha=alpha)
-    for state in (ellipse_state(1.0, 3.0, 256), bump_state(0.15, 256)):
-        got = velocity(state, cfg)
-        with monkeypatch.context() as m:
-            m.setattr(simulator, "_kernel_sum", _reference_kernel_sum)
-            want = velocity(state, cfg)
-        scale = float(np.abs(want).max())
-        assert float(np.abs(got - want).max()) <= 1e-12 * scale
+    for n in (256, 1024):
+        for state in (ellipse_state(1.0, 3.0, n), bump_state(0.15, n)):
+            got = velocity(state, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(simulator, "_kernel_sum", _reference_kernel_sum)
+                want = velocity(state, cfg)
+            scale = float(np.abs(want).max())
+            assert float(np.abs(got - want).max()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_row_block_edges_invisible(n, monkeypatch):
+    """Blocks of 4 rows, of 24 (N = 64 ends in a ragged block of 16) and one
+    block of all N rows give the default blocks' bits."""
+    states = (ellipse_state(1.0, 3.0, n), bump_state(0.15, n))
+    zxs = [spectral_derivative(s.points, 1) for s in states]
+
+    def results():
+        out = []
+        for state, zx in zip(states, zxs):
+            out.append(arc_chord_min(state))
+            out += [simulator._kernel_sum(state.points, zx, a).tobytes() for a in (0.0, 1.0, 1.96)]
+        return out
+
+    want = results()
+    for rows in (4, 24, n):
+        monkeypatch.setattr(simulator, "ROWS", rows)
+        assert results() == want, rows
+
+
+@pytest.mark.parametrize("call", ["velocity", "arc_chord_min"])
+def test_pair_work_memory(call):
+    """After one warm-up call, velocity and arc_chord_min at N = 512 allocate
+    under 1.5 MiB at their peak: no (N, N) temporary (2 MiB) is made."""
+    state = ellipse_state(1.0, 3.0, 512)
+    args = (state, SimConfig(alpha=1.0)) if call == "velocity" else (state,)
+    fn = getattr(simulator, call)
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_arc_chord_min_bitwise_and_cached_chords():
@@ -220,3 +264,55 @@ def test_arc_chord_min_bitwise_and_cached_chords():
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0, 1] = 0.0
+
+
+# sha256 of velocity(...).tobytes() and float.hex of arc_chord_min for the
+# proof curve and the benchmark ellipse, as first computed on full (N, N)
+# pair arrays with one FFT pair per derivative
+_VELOCITY_BITS = {
+    ("ellipse", 64, 0.0): "e5ecb34e5669d0e9d545c3d1892243339aec352aa530250b255c2249201b69e5",
+    ("ellipse", 64, 0.02): "9b025b140149076a113967a9e26d08c9ede120a9d25f8b2f8a4b5447eabb8e0a",
+    ("ellipse", 64, 1.0): "eda1ae31743378a4d5d2cfef0f5c88b54314bf81ee96e4df1dcd9b846c25a0d8",
+    ("ellipse", 64, 1.96): "12fe1bb764b49b459c5950b9783f61ca45a0dafa9c1b05770c06a3426d316e22",
+    ("ellipse", 512, 0.0): "6c88f2cc59c40d556be653888316ecbd99d0f3e5dff6b0c754d1ce84c0a0c4de",
+    ("ellipse", 512, 0.02): "40977f041527ab82955ae4d2dfe586d91583d8feeb675d43c2c302206b16ad58",
+    ("ellipse", 512, 1.0): "709ee1da100f608573bc671367ab6a741e80cebb9cacd6138e7534fd6cebdbfb",
+    ("ellipse", 512, 1.96): "dd2da85294dafd7b46d8abada2ae50ee9b8c3195e073836de27cc95b9ebbc969",
+    ("bump", 64, 0.0): "e3014e99d21bc57f3908025837981b470cf41d6588442fb620d051bea2ca81d2",
+    ("bump", 64, 0.02): "4ce696f4b506c3460e1e43bd284632a6fdab5d4542f927220553f687d93e4297",
+    ("bump", 64, 1.0): "4c932c07773077d644ec1a84709b2f4c6840dc639fde56c29c4c2177b5e8878b",
+    ("bump", 64, 1.96): "2c0135385f0d86c326d6d145d2f57610c4ad88f5ed0eb9839f807937c5bc2a2b",
+    ("bump", 512, 0.0): "4cf22073cfd8fc1b885245d5825b17ac1a5eafd5a27053610ac3517ff24c4a8e",
+    ("bump", 512, 0.02): "1034a41b680836873d8652ce6228b460d7d64931594f41e16c402f74c5175418",
+    ("bump", 512, 1.0): "d92473e7a911b791e2b03cccc7385ffc969fc20590dde5e47c2618338fab5789",
+    ("bump", 512, 1.96): "032467e39a8d72de2423258c79dca6b7db022ee1db3645525f340eb2a991c8de",
+}
+_ARC_CHORD_BITS = {
+    ("ellipse", 64): "0x1.0000000000000p+0",
+    ("ellipse", 512): "0x1.0000000000000p+0",
+    ("bump", 64): "0x1.3080752e521c9p-1",
+    ("bump", 512): "0x1.30274085d508cp-1",
+}
+# evolve(ellipse_state(1, 3, 128), alpha=1, t_final=0.1, snapshots every 0.05)
+_EVOLVE_BITS = [
+    ("0x0.0p+0", "8664cfcfae5b6a6caae96d1c1c85540951a2abec6636008787b9aa9e73999329"),
+    ("0x1.999999999999ap-5", "cbb65d16fb9d0ec8d10c646eaf942519796ce101a96477aa873c3c155446afc0"),
+    ("0x1.999999999999ap-4", "bc5a30a0de36b62b8a5975915a95378a8e1d3b6555e2f14a809bdcc34259f17d"),
+]
+
+
+def _sha(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def test_simulator_frozen_bits():
+    """velocity, arc_chord_min and a short evolve give the bits of the
+    full-matrix kernel."""
+    for (shape, n), want in _ARC_CHORD_BITS.items():
+        state = ellipse_state(1.0, 3.0, n) if shape == "ellipse" else bump_state(0.15, n)
+        assert arc_chord_min(state).hex() == want, (shape, n)
+        for alpha in (0.0, 0.02, 1.0, 1.96):
+            got = _sha(velocity(state, SimConfig(alpha=alpha)))
+            assert got == _VELOCITY_BITS[shape, n, alpha], (shape, n, alpha)
+    snaps = evolve(ellipse_state(1.0, 3.0, 128), SimConfig(alpha=1.0, t_final=0.1, snapshot_interval=0.05))
+    assert [(s.time.hex(), _sha(s.points)) for s in snaps] == _EVOLVE_BITS
