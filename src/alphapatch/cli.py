@@ -198,7 +198,8 @@ def full_sweep_intervals(step):
 
 def _quadrature_work(rows):
     """Per verdict row and in total: accepted quadrature cells, order-4 jet
-    evaluations, and whether the depth cap was hit (for the manifest)."""
+    evaluations, whether the depth cap was hit, batches of lanes, and cells
+    evaluated ahead of the walk but never reached (for the manifest)."""
     sets = [
         {
             "c_phase": v.ps.c_phase.mid(),
@@ -207,6 +208,8 @@ def _quadrature_work(rows):
             "cells": v.cells,
             "jet_evaluations": v.jet_evaluations,
             "max_depth_hit": v.max_depth_hit,
+            "batches": v.batches,
+            "discarded_cells": v.discarded_cells,
         }
         for v in rows
     ]
@@ -214,6 +217,8 @@ def _quadrature_work(rows):
         "cells": sum(v.cells for v in rows),
         "jet_evaluations": sum(v.jet_evaluations for v in rows),
         "max_depth_hit_sets": sum(v.max_depth_hit for v in rows),
+        "batches": sum(v.batches for v in rows),
+        "discarded_cells": sum(v.discarded_cells for v in rows),
     }
     return {"sets": sets, "total": total}
 

@@ -83,10 +83,13 @@ class RegionVerdict:
     enclosure: Interval | None
     regime: Regime | None
     # quadrature work over both halves: accepted cells, order-4 jet
-    # evaluations, and whether either half accepted a cell at the depth cap
+    # evaluations, whether either half accepted a cell at the depth cap,
+    # batches of lanes, and cells evaluated ahead of the walk but never reached
     cells: int = 0
     jet_evaluations: int = 0
     max_depth_hit: bool = False
+    batches: int = 0
+    discarded_cells: int = 0
 
     def row(self):
         enc_lo = "" if self.enclosure is None else _g17(self.enclosure.lo)
@@ -207,6 +210,8 @@ def process(ps):
         cells=quad.subinterval_count,
         jet_evaluations=quad.jet_evaluations,
         max_depth_hit=quad.max_depth_hit,
+        batches=quad.batches,
+        discarded_cells=quad.discarded_cells,
     )
 
 

@@ -28,9 +28,10 @@ is at least as wide as the node sum: that cell could not have been accepted
 whatever its remainder, and every accepted cell, enclosure and depth-cap
 flag is the same as with the jet evaluated on every cell.
 
-The driver works one depth level at a time, in chunks of at most
-:data:`CHUNK` cells.  Each chunk evaluates its node sums, its crude bounds
-and its remainders with one integrand call per kind, on
+The driver decides one depth level at a time and evaluates cells in
+batches of at most :data:`CHUNK` lanes.  Each batch evaluates its node sums
+(both nodes of every cell in one call on twice as many lanes), its crude
+bounds and its remainders with one integrand call per kind, on
 :class:`IntervalArray` lanes, so the integrand must be generic over those
 too (the regime integrands are).  A cell whose lane is flagged, or every
 cell of a batch that raises, is evaluated again on plain intervals; each
@@ -38,6 +39,24 @@ cell therefore gets exactly the enclosure the one-cell evaluation gives.
 The accepted enclosures are summed from left to right, the order a
 depth-first walk accepts them in, so the total is the same bit for bit as
 well.
+
+A batch costs nearly as much for a few lanes as for :data:`CHUNK`, so a
+level of fewer than :data:`CHUNK` cells is evaluated in one batch with the
+levels below it, as many whole levels as fit: the halves of every
+non-final cell, their halves, and so on.  The walk still decides on one
+level at a time from these stored results.  After each level it keeps of
+the level below the halves of the cells it split
+(``np.repeat(split[~final], 2)``) and drops the rest, the descendants of
+accepted cells; the cells dropped are counted as discarded.  A lane's
+enclosure does not depend on the other lanes of its batch, so every
+accept/split decision, enclosure and cell count is the same as when each
+level is evaluated on its own.  What depends on reaching a cell waits
+until the walk reaches it: :class:`NonEvaluable` is raised only for a
+reached final cell, jet evaluations and the depth-cap flag count only
+reached cells, and a flagged lane of a level below the first is left
+pending.  A pending cell is enclosed again, in a batch of its level's
+pending cells that retries on plain intervals, only once it is reached, so
+the cells dropped cost no scalar retries.
 
 :func:`adaptive_integrate` takes several disjoint domains and walks them
 together: a level is the cells of every domain, sorted by left end, so a
@@ -61,11 +80,11 @@ from .jets import Jet4
 
 __all__ = ["Tolerance", "QuadratureResult", "NonEvaluable", "gl2_enclosure", "adaptive_integrate"]
 
-# cells evaluated in one batch.  A jet batch keeps a few hundred arrays of
-# this length alive at once (about 0.6 MiB at 256 cells).  On one 1e-4-wide
+# cells evaluated in one batch, whether of one level or of a small level
+# and the levels below it.  A jet batch keeps a few hundred arrays of this
+# length alive at once (about 0.6 MiB at 256 cells).  On one 1e-4-wide
 # alpha band, 512 cells raised the peak RSS by about 0.6 MiB more than 256,
-# and 1024 cells by about 1.8 MiB, in a process of about 35 MiB; a
-# point-alpha level holds at most 120 cells and gains nothing from more.
+# and 1024 cells by about 1.8 MiB, in a process of about 35 MiB.
 CHUNK = 256
 
 
@@ -93,6 +112,10 @@ class QuadratureResult:
     max_depth_hit: bool
     # order-4 jet evaluations of the integrand, one per remainder term
     jet_evaluations: int = 0
+    # batches of lanes evaluated, and cells evaluated ahead of the walk that
+    # it never reached
+    batches: int = 0
+    discarded_cells: int = 0
 
 
 # The three kinds of cell evaluation.  A and B are the point intervals at the
@@ -104,7 +127,20 @@ def _node_sum(f, A, B, X):
     m = (A + B) * 0.5
     h = (B - A) * 0.5
     offset = h * SQRT3_THIRD
-    return h * (f(m + offset) + f(m - offset))
+    right, left = m + offset, m - offset
+    if not isinstance(X, IntervalArray):
+        return h * (f(right) + f(left))
+    # both nodes of n cells in one call on 2n lanes; a lane flagged at either
+    # node flags its cell
+    n = X.lo.size
+    both = IntervalArray(
+        np.concatenate((right.lo, left.lo)), np.concatenate((right.hi, left.hi)), np.concatenate((X.err, X.err))
+    )
+    y = f(both)
+    if not isinstance(y, IntervalArray):  # a constant integrand
+        return h * (y + y)
+    X.err |= y.err[:n] | y.err[n:]
+    return h * (IntervalArray(y.lo[:n], y.hi[:n], X.err) + IntervalArray(y.lo[n:], y.hi[n:], X.err))
 
 
 def _remainder(f, A, B, X):
@@ -135,18 +171,19 @@ def gl2_enclosure(f, a, b):
     return _node_sum(f, *cell) + _remainder(f, *cell)
 
 
-def _evaluate(kind, f, lo, hi, where):
+def _evaluate(kind, f, lo, hi, where, retry):
     """``kind`` on the cells [lo, hi] selected by ``where``, in one batch.
 
     A cell the batch flags (every cell, if the batch raises) is evaluated
-    again on its own.  Returns full-length arrays: the enclosures' lower and
-    upper endpoints, and where an enclosure exists.
+    again on its own if it is in ``retry``, and left pending otherwise.
+    Returns full-length arrays: the enclosures' lower and upper endpoints,
+    where an enclosure exists, and which cells are pending.
     """
     n = lo.size
-    elo, ehi, ok = np.zeros(n), np.zeros(n), np.zeros(n, bool)
+    elo, ehi, ok, pending = np.zeros(n), np.zeros(n), np.zeros(n, bool), np.zeros(n, bool)
     sub = np.flatnonzero(where)
     if sub.size == 0:
-        return elo, ehi, ok
+        return elo, ehi, ok, pending
     cells = IntervalArray.batch(lo[sub], hi[sub])
     err = cells[0].err
     try:
@@ -155,54 +192,99 @@ def _evaluate(kind, f, lo, hi, where):
     except IntervalError:
         err[:] = True
     ok[sub] = ~err
-    for i in sub[err].tolist():
+    again = retry[sub]
+    pending[sub] = err & ~again
+    for i in sub[err & again].tolist():
         try:
             r = kind(f, *_cell(lo[i], hi[i]))
         except IntervalError:
             continue
         elo[i], ehi[i], ok[i] = r.lo, r.hi, True
-    return elo, ehi, ok
+    return elo, ehi, ok, pending
 
 
-def _chunk(f, lo, hi, final, tol):
-    """Enclose the cells [lo, hi] of one chunk of a level.
+def _chunk(f, lo, hi, final, tol, retry):
+    """Enclose the cells [lo, hi] in one batch.
 
-    Returns the enclosures' endpoints, which cells are accepted, the number
-    of jet evaluations and whether an accepted cell is still too wide; the
-    cells not accepted are split.  Raises :class:`NonEvaluable` naming the
-    leftmost final cell without an enclosure.
+    Returns per cell: the enclosure's endpoints, whether it exists, whether
+    it is too wide, whether the jet was evaluated, and whether the cell is
+    pending: flagged somewhere outside ``retry``, so that its other results
+    mean nothing until it is enclosed again.
     """
     length = hi - lo
+    pending = np.zeros(lo.size, bool)
 
     def too_wide(elo, ehi):
         w = ehi - elo
         return (w > tol.abs_tol) & (w > tol.rel_tol * length)
 
-    blo, bhi, body = _evaluate(_node_sum, f, lo, hi, np.ones(lo.size, bool))
+    def evaluate(kind, where):
+        elo, ehi, ok, stuck = _evaluate(kind, f, lo, hi, where & ~pending, retry)
+        pending[stuck] = True
+        return elo, ehi, ok
+
+    blo, bhi, body = evaluate(_node_sum, np.ones(lo.size, bool))
     # a splittable cell whose node sum is already too wide needs its jet only
     # if the crude bound exists and is narrow enough (it is used if the jet fails)
     wide_body = body & ~final & too_wide(blo, bhi)
-    clo, chi, crude = _evaluate(_crude, f, lo, hi, ~body | wide_body)
+    clo, chi, crude = evaluate(_crude, ~body | wide_body)
     want_jet = body & (~wide_body | (crude & ~too_wide(clo, chi)))
-    rlo, rhi, rem = _evaluate(_remainder, f, lo, hi, want_jet)
+    rlo, rhi, rem = evaluate(_remainder, want_jet)
     failed = ~rem
     gl2 = IntervalArray(blo, bhi, failed) + IntervalArray(rlo, rhi, failed)
     jet_failed = want_jet & failed
     late = jet_failed & ~wide_body  # a failed jet whose crude bound is still missing
-    if np.count_nonzero(late):
-        llo, lhi, lok = _evaluate(_crude, f, lo, hi, late)
+    if np.count_nonzero(late & ~pending):
+        llo, lhi, lok = evaluate(_crude, late)
         clo, chi, crude = np.where(late, llo, clo), np.where(late, lhi, chi), crude | lok
     use_gl2 = want_jet & ~failed
     elo = np.where(use_gl2, gl2.lo, clo)
     ehi = np.where(use_gl2, gl2.hi, chi)
     have = use_gl2 | ((~body | jet_failed) & crude)
-    missing = final & ~have
-    if np.count_nonzero(missing):
-        i = int(np.argmax(missing))
-        raise NonEvaluable(f"integrand not evaluable on [{lo[i]}, {hi[i]}] at depth cap")
-    wide = too_wide(elo, ehi)
-    accept = have & (final | ~wide)
-    return elo, ehi, accept, int(np.count_nonzero(want_jet)), bool(np.count_nonzero(accept & wide))
+    return [elo, ehi, have, too_wide(elo, ehi), want_jet, pending]
+
+
+def _final(lo, hi, depth, tol):
+    """Which cells of the level at ``depth`` cannot be split."""
+    mid = 0.5 * (lo + hi)
+    return (depth >= tol.max_depth) | ~((lo < mid) & (mid < hi))
+
+
+def _halves(lo, hi):
+    """The halves of the cells [lo, hi], still in left-to-right order."""
+    mid = 0.5 * (lo + hi)
+    return np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+
+
+def _evaluate_levels(f, lo, hi, depth, tol):
+    """Evaluate the level [lo, hi] at ``depth`` and, if it has fewer than
+    :data:`CHUNK` cells, as many whole levels below it as fit in one batch
+    with it, each the halves of every non-final cell of the level above.
+
+    Returns one record per level, ``[lo, hi, final]`` followed by the
+    :func:`_chunk` results, and the number of batches.  Only the first
+    level's flagged cells are evaluated again on their own; the levels below
+    keep theirs pending until the walk reaches them.
+    """
+    levels = [(lo, hi, _final(lo, hi, depth, tol))]
+    lanes = lo.size
+    while lanes < CHUNK:
+        above_lo, above_hi, above_final = levels[-1]
+        below_lo, below_hi = _halves(above_lo[~above_final], above_hi[~above_final])
+        if not below_lo.size or lanes + below_lo.size > CHUNK:
+            break
+        levels.append((below_lo, below_hi, _final(below_lo, below_hi, depth + len(levels), tol)))
+        lanes += below_lo.size
+    cells = [np.concatenate(a) for a in zip(*levels)]
+    retry = np.arange(lanes) < lo.size
+    chunks = [
+        _chunk(f, *(a[s : s + CHUNK] for a in cells), tol, retry[s : s + CHUNK])
+        for s in range(0, lanes, CHUNK)
+    ]
+    results = [np.concatenate(a) for a in zip(*chunks)]
+    cuts = np.cumsum([level[0].size for level in levels])[:-1]
+    per_level = zip(*(np.split(a, cuts) for a in cells + results))
+    return [list(record) for record in per_level], len(chunks)
 
 
 def _sorted_domains(domains):
@@ -226,28 +308,44 @@ def adaptive_integrate(f, domains, tol=Tolerance()):
     sum of the domains' enclosures in the order given."""
     domains = [(float(a), float(b)) for a, b in domains]
     ordered = _sorted_domains(domains)
-    jets = 0
+    jets = batches = discarded = 0
     depth_hit = False
-    accepted = []  # per chunk: (cell lo, enclosure lo, enclosure hi) of its accepted cells
+    accepted = []  # per level: (cell lo, enclosure lo, enclosure hi) of its accepted cells
     lo, hi = np.array([a for a, _ in ordered]), np.array([b for _, b in ordered])
+    ahead = []  # the evaluated levels the walk has not reached yet
     depth = 0
     with np.errstate(all="ignore"):
-        while lo.size:
-            mid = 0.5 * (lo + hi)
-            final = (depth >= tol.max_depth) | ~((lo < mid) & (mid < hi))
-            split = np.zeros(lo.size, bool)
-            for s in range(0, lo.size, CHUNK):
-                c = slice(s, s + CHUNK)
-                elo, ehi, accept, n_jets, hit = _chunk(f, lo[c], hi[c], final[c], tol)
-                accepted.append((lo[c][accept], elo[accept], ehi[accept]))
-                split[c] = ~accept
-                jets += n_jets
-                depth_hit = depth_hit or hit
-            # the halves of the split cells, still in left-to-right order
-            lo, mid, hi = lo[split], mid[split], hi[split]
-            lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        while ahead or lo.size:
+            if not ahead:
+                ahead, n = _evaluate_levels(f, lo, hi, depth, tol)
+                batches += n
+                reached = np.ones(lo.size, bool)
+            record = ahead.pop(0)
+            lo, hi, final, elo, ehi, have, wide, want_jet, pending = record
+            discarded += lo.size - int(np.count_nonzero(reached))
+            again = reached & pending
+            if np.count_nonzero(again):
+                # every lane of this batch is retried: again[again] is all True
+                redo = _chunk(f, lo[again], hi[again], final[again], tol, again[again])
+                for a, r in zip(record[3:], redo):
+                    a[again] = r
+                batches += 1
+            missing = reached & final & ~have
+            if np.count_nonzero(missing):
+                i = int(np.argmax(missing))
+                raise NonEvaluable(f"integrand not evaluable on [{lo[i]}, {hi[i]}] at depth cap")
+            accept = reached & have & (final | ~wide)
+            accepted.append((lo[accept], elo[accept], ehi[accept]))
+            jets += int(np.count_nonzero(reached & want_jet))
+            depth_hit = depth_hit or bool(np.count_nonzero(accept & wide))
+            split = reached & ~accept
+            if ahead:
+                # the level below holds the halves of every non-final cell
+                reached = np.repeat(split[~final], 2)
+            else:
+                lo, hi = _halves(lo[split], hi[split])
             depth += 1
-    # each chunk's accepted cells run from left to right; merged by their
+    # each level's accepted cells run from left to right; merged by their
     # left ends, each domain's cells come in the order a depth-first walk
     # over that domain alone accepts them in
     sums = [ZERO] * len(ordered)
@@ -259,4 +357,5 @@ def adaptive_integrate(f, domains, tol=Tolerance()):
     total = ZERO
     for a, b in domains:
         total = total + sums[ordered.index((a, b))]
-    return QuadratureResult(total, sum(run[0].size for run in accepted), depth_hit, jets)
+    cells = sum(run[0].size for run in accepted)
+    return QuadratureResult(total, cells, depth_hit, jets, batches, discarded)

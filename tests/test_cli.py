@@ -88,10 +88,13 @@ def test_prove_convexity_vortex(tmp_path, capsys):
     assert (row["alpha_lo"], row["alpha_hi"]) == (0.0, 0.0)
     assert row["cells"] > 0 and row["jet_evaluations"] >= row["cells"]
     assert row["max_depth_hit"] is False
+    assert row["batches"] > 0 and row["discarded_cells"] >= 0
     assert work["total"] == {
         "cells": row["cells"],
         "jet_evaluations": row["jet_evaluations"],
         "max_depth_hit_sets": 0,
+        "batches": row["batches"],
+        "discarded_cells": row["discarded_cells"],
     }
 
 

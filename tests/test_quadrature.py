@@ -103,28 +103,40 @@ def test_tiling_accounting():
     assert res.enclosure.lo <= exact <= res.enclosure.hi
 
 
+def _try(evaluation, *args):
+    try:
+        return evaluation(*args)
+    except IntervalError:
+        return None
+
+
 def _reference_integrate(f, a, b, tol):
     """The adaptive loop, depth first on single intervals, with the full GL2
     enclosure, jet included, evaluated on every cell: (enclosure, cells,
-    depth cap hit)."""
-    total, count, depth_hit = ZERO, 0, False
+    depth cap hit, jet evaluations, levels).  The jet evaluations are those
+    a walk that splits hopeless cells without their jet makes: on every cell
+    with a node sum, unless the cell is splittable, its node sum too wide
+    and its crude bound missing or too wide.  The levels are one more than
+    the deepest cell visited."""
+    total, count, depth_hit, jets, deepest = ZERO, 0, False, 0, 0
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        try:
-            enc = gl2_enclosure(f, lo, hi)
-        except IntervalError:
-            try:
-                enc = (Interval(hi) - Interval(lo)) * f(Interval(lo, hi))
-            except IntervalError:
-                enc = None
+        deepest = max(deepest, depth)
+        crude = _try(lambda: (Interval(hi) - Interval(lo)) * f(Interval(lo, hi)))
+        enc = _try(gl2_enclosure, f, lo, hi)
+        if enc is None:
+            enc = crude
         mid = 0.5 * (lo + hi)
         final = depth >= tol.max_depth or not lo < mid < hi
-        wide = (
-            enc is not None
-            and enc.width() > tol.abs_tol
-            and enc.width() > tol.rel_tol * (hi - lo)
-        )
+
+        def too_wide(e):
+            return e.width() > tol.abs_tol and e.width() > tol.rel_tol * (hi - lo)
+
+        body = _try(quadrature._node_sum, f, *quadrature._cell(lo, hi))
+        if body is not None and (final or not too_wide(body) or (crude is not None and not too_wide(crude))):
+            jets += 1
+        wide = enc is not None and too_wide(enc)
         if enc is not None and (final or not wide):
             depth_hit = depth_hit or wide
             total = total + enc
@@ -134,15 +146,18 @@ def _reference_integrate(f, a, b, tol):
             raise NonEvaluable(f"integrand not evaluable on [{lo}, {hi}] at depth cap")
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
-    return total, count, depth_hit
+    return total, count, depth_hit, jets, deepest + 1
 
 
 def _assert_same_as_reference(f, a, b, tol):
+    """The walk gives the reference's enclosure bits, cells, jet
+    evaluations and depth-cap flag."""
     res = adaptive_integrate(f, [(a, b)], tol)
-    enc, count, depth_hit = _reference_integrate(f, a, b, tol)
-    assert (res.enclosure.lo, res.enclosure.hi) == (enc.lo, enc.hi)
+    enc, count, depth_hit, jets, _ = _reference_integrate(f, a, b, tol)
+    assert _hex(res.enclosure) == _hex(enc)
     assert res.subinterval_count == count
     assert res.max_depth_hit == depth_hit
+    assert res.jet_evaluations == jets
     return res
 
 
@@ -220,7 +235,11 @@ def test_pruning_keeps_cells_only_the_crude_bound_accepts():
     def f(x):
         if isinstance(x, Jet4):
             raise DomainViolation("no jet")
-        return Interval(0.0, 1.0) if x.width() < 0.5 else Interval(0.0)
+        # [0, 1] on the lanes narrower than 0.5, [0, 0] on the others
+        hi = np.where(x.hi - x.lo < 0.5, 1.0, 0.0)
+        if isinstance(x, IntervalArray):
+            return IntervalArray(np.zeros(hi.size), hi, x.err)
+        return Interval(0.0, float(hi))
 
     res = _assert_same_as_reference(f, 0.0, 1.0, Tolerance(1e-6, 1e-6, 5))
     assert res.subinterval_count == 1
@@ -232,10 +251,7 @@ def test_pruning_matches_full_evaluation_alpha_limited():
     to the depth cap.  Of the 2**8 - 1 cells visited, the jet is evaluated
     on the 2**7 at the cap and on the one cell next to the window whose node
     sum alone is narrow enough."""
-    spec = IntegrandSpec.for_regime(Regime.BIG_ALPHA, Interval(1.0, 1.001), Bump(Interval.around(0.15)))
-    f = make_kt_integrand(spec)
-    tol = Tolerance(max_depth=7)
-    halves = [(1.0 / 128.0, math.pi), (-math.pi, -1.0 / 128.0)]
+    f, halves, tol = _alpha_band_halves()
     for a, b in halves:
         res = _assert_same_as_reference(f, a, b, tol)
         assert res.max_depth_hit
@@ -270,6 +286,90 @@ def test_chunk_mixing_failing_and_good_cells():
     tol = Tolerance(1e-7, 1e-7, 12)
     res = _assert_same_as_reference(lambda x: abs(x), -0.7, 1.3, tol)
     assert res.jet_evaluations > res.subinterval_count > 2
+
+
+def _alpha_band_halves():
+    """The big-alpha integrand on an alpha band 1e-3 wide, its y-halves and
+    a depth cap that every cell of them reaches."""
+    spec = IntegrandSpec.for_regime(Regime.BIG_ALPHA, Interval(1.0, 1.001), Bump(Interval.around(0.15)))
+    halves = [(1.0 / 128.0, math.pi), (-math.pi, -1.0 / 128.0)]
+    return make_kt_integrand(spec), halves, Tolerance(max_depth=7)
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 256])
+def test_speculative_levels_change_nothing(monkeypatch, chunk):
+    """Levels evaluated ahead of the walk, cut at odd places by small
+    chunks, give every closed form, the alpha-limited band and |x| across
+    a failing point the reference's enclosure bits, cells, jet evaluations
+    and depth-cap flag."""
+    monkeypatch.setattr(quadrature, "CHUNK", chunk)
+    for name, fn, a, b, _ in CASES:
+        _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
+    f, halves, tol = _alpha_band_halves()
+    for a, b in halves:
+        _assert_same_as_reference(f, a, b, tol)
+    res = _assert_same_as_reference(lambda x: abs(x), -0.7, 1.3, Tolerance(1e-7, 1e-7, 12))
+    if chunk > 3:
+        assert res.discarded_cells > 0
+
+
+def test_unreached_cells_neither_raise_nor_count():
+    """Cells at the depth cap below an accepted parent cannot be enclosed.
+    The walk evaluates them ahead of time, yet raises nothing for them and
+    counts neither their cells nor their jets.  By argument width: points
+    give [0, 1], so no node sum is narrow; the whole [0, 1] gives [0, 1] and
+    its halves [0, 0]; the quarters fail.  The jet fails on the halves and
+    the quarters, so the halves are accepted on their crude bound."""
+    quarter_jets = []
+
+    def f(x):
+        if isinstance(x, Jet4):
+            w = x.d0.hi - x.d0.lo
+            quarter_jets.append(np.count_nonzero((0.2 < w) & (w < 0.3)))
+            x.d0.require(w > 0.75, lambda: DomainViolation("no jet"))
+            return x * 0.0
+        w = x.hi - x.lo
+        x.require((w < 0.1) | (w > 0.4), lambda: DomainViolation("a quarter"))
+        hi = np.where((w < 0.1) | (w > 0.75), 1.0, 0.0)
+        if isinstance(x, IntervalArray):
+            return IntervalArray(np.zeros(hi.size), hi, x.err)
+        return Interval(0.0, float(hi))
+
+    res = _assert_same_as_reference(f, 0.0, 1.0, Tolerance(1e-6, 1e-6, 2))
+    assert sum(quarter_jets) == 4  # the quarters' jets were evaluated, in one batch
+    assert res.subinterval_count == 2 and res.jet_evaluations == 2
+    assert res.discarded_cells == 4
+    assert (res.enclosure.lo, res.enclosure.hi) == (0.0, 0.0)
+    assert not res.max_depth_hit
+
+
+def test_point_alpha_walk_batches_fewer_than_levels(monkeypatch):
+    """One point-alpha process() evaluates its node sums in fewer batched
+    integrand calls than its walk has levels."""
+    from alphapatch import pipeline
+
+    make = pipeline.make_kt_integrand
+    node_calls, plain = [], []
+
+    def counting(spec):
+        f = make(spec)
+        plain.append(f)
+
+        def g(y):
+            # the Gauss nodes are a few ulps wide, the cells far wider
+            if isinstance(y, IntervalArray) and np.all(y.hi - y.lo < 1e-9):
+                node_calls.append(y.lo.size)
+            return f(y)
+
+        return g
+
+    monkeypatch.setattr(pipeline, "make_kt_integrand", counting)
+    ps = pipeline.ParameterSet.for_phase(0.0, 0.0, 0.15)
+    v = pipeline.process(ps)
+    (f,) = plain
+    halves = [(pipeline.WINDOW_HALF, math.pi), (-math.pi, -pipeline.WINDOW_HALF)]
+    levels = max(_reference_integrate(f, a, b, ps.tol)[4] for a, b in halves)
+    assert len(node_calls) == v.batches < levels
 
 
 def test_non_evaluable_names_the_depth_first_cell():
