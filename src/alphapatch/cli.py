@@ -229,6 +229,8 @@ def cmd_prove_convexity(args):
         tol = Tolerance(args.abs_tol, args.rel_tol, args.max_depth)
         if args.workers < 1:
             raise ValueError(f"--workers {args.workers} must be at least 1")
+        if not args.split_threshold > 0.0:
+            raise ValueError(f"--split-threshold {args.split_threshold} must be positive")
         if args.full_sweep:
             intervals = full_sweep_intervals(args.sweep_step)
         else:

@@ -130,22 +130,32 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _pieces(spec, pt, y):
-    """Shared differences and inner products at offset y (jet or interval).
+def _pieces(spec, pt, y, order):
+    """Shared differences at offset y (jet or interval): z1 up to ``order``,
+    z2 up to order 2, dz, dzx, dzxx and q = |dz|^2.
 
-    The alpha integrands slice off z1 and z2, which they do not use, so a
-    batch of jets frees those lanes before the kernel's temporaries pile up.
+    Only what some regime reads is built: the vortex integrand reads z1 up
+    to order 2, and no regime reads the second component of dzxxx.
     """
     d0 = y.d0 if isinstance(y, Jet4) else y
     u = PI - y - _shift(d0)
-    z1 = z1_derivs(u, 3)
-    z2 = z2_derivs(u, 3, spec.curve.c_phase)
+    z1 = z1_derivs(u, order)
+    z2 = z2_derivs(u, 2, spec.curve.c_phase)
     dz = (-1.0 - z1[0], pt.s - z2[0])
     dzx = (-z1[1], pt.c - z2[1])
     dzxx = (-z1[2], -pt.s - z2[2])
-    dzxxx = (-z1[3], -pt.c - z2[3])
     q = dz[0].sqr() + dz[1].sqr()
-    return z1, z2, dz, dzx, dzxx, dzxxx, q
+    return z1, z2, dz, dzx, dzxx, q
+
+
+def _alpha_pieces(spec, pt, y):
+    """dz, dzx, dzxx, dzxxx_1 and q for the alpha integrands.
+
+    They do not use z1 and z2, so a batch of jets frees those lanes here,
+    before the kernel's temporaries pile up.
+    """
+    z1, _, dz, dzx, dzxx, q = _pieces(spec, pt, y, 3)
+    return dz, dzx, dzxx, -z1[3], q
 
 
 def _project(pt, zxt1, zxxt1):
@@ -154,7 +164,7 @@ def _project(pt, zxt1, zxxt1):
 
 
 def _vortex(spec, pt, y):
-    z1, z2, dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)
+    z1, z2, dz, dzx, dzxx, q = _pieces(spec, pt, y, 2)
     zxu = (z1[1], z2[1])
     dz_zxu = _dot(dz, zxu)
     dz_dzx = _dot(dz, dzx)
@@ -181,7 +191,7 @@ def _alpha_kernels(spec, q):
 
 
 def _big_alpha(spec, pt, y):
-    dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)[2:]
+    dz, dzx, dzxx, dzxxx1, q = _alpha_pieces(spec, pt, y)
     a = spec.alpha
     p_a, p_2a, p_4a = _alpha_kernels(spec, q)
     dz_dzx = _dot(dz, dzx)
@@ -189,7 +199,7 @@ def _big_alpha(spec, pt, y):
     dzx_sq = dzx[0].sqr() + dzx[1].sqr()
     zxt1 = dzxx[0] * p_a - dzx[0] * dz_dzx * p_2a * a
     zxxt1 = (
-        dzxxx[0] * p_a
+        dzxxx1 * p_a
         - dzxx[0] * dz_dzx * p_2a * (a * 2.0)
         - dzx[0] * dzx_sq * p_2a * a
         + dzx[0] * dz_dzx.sqr() * p_4a * (a * (a + 2.0))
@@ -199,7 +209,7 @@ def _big_alpha(spec, pt, y):
 
 
 def _small_alpha(spec, pt, y):
-    dz, dzx, dzxx, dzxxx, q = _pieces(spec, pt, y)[2:]
+    dz, dzx, dzxx, dzxxx1, q = _alpha_pieces(spec, pt, y)
     a = spec.alpha
     p_a, p_2a, p_4a = _alpha_kernels(spec, q)
     ld = q.log() * 0.5  # log |dz|
@@ -216,7 +226,7 @@ def _small_alpha(spec, pt, y):
         - dzx[0] * dzx_sq * p_2a
         + dzx[0] * dz_dzx.sqr() * p_4a * (a * 2.0 + 2.0)
         - dzx[0] * dz_dzxx * p_2a
-        - dzxxx[0] * ld * p_a
+        - dzxxx1 * ld * p_a
         + dzxx[0] * dz_dzx * ld * p_2a * (a * 2.0)
         + dzx[0] * dzx_sq * ld * p_2a * a
         - dzx[0] * dz_dzx.sqr() * ld * p_4a * (a * (a + 2.0))

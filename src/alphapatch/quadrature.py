@@ -29,7 +29,7 @@ whatever its remainder, and every accepted cell, enclosure and depth-cap
 flag is the same as with the jet evaluated on every cell.
 
 The driver decides one depth level at a time and evaluates cells in
-batches of at most :data:`CHUNK` lanes.  Each batch evaluates its node sums
+batches of at most :data:`WIDTH` lanes.  Each batch evaluates its node sums
 (both nodes of every cell in one call on twice as many lanes), its crude
 bounds and its remainders with one integrand call per kind, on
 :class:`IntervalArray` lanes, so the integrand must be generic over those
@@ -40,10 +40,13 @@ The accepted enclosures are summed from left to right, the order a
 depth-first walk accepts them in, so the total is the same bit for bit as
 well.
 
-A batch costs nearly as much for a few lanes as for :data:`CHUNK`, so a
-level of fewer than :data:`CHUNK` cells is evaluated in one batch with the
-levels below it, as many whole levels as fit: the halves of every
-non-final cell, their halves, and so on.  The walk still decides on one
+A batch costs nearly as much for a few lanes as for a few hundred, so
+batches are made few and full.  A level of n > :data:`CHUNK` cells is cut
+into ceil(n / :data:`WIDTH`) batches whose sizes differ by at most one, not
+into full batches and a ragged tail.  A level of fewer than :data:`CHUNK`
+cells is evaluated in one batch with the levels below it, as many whole
+levels as fit in :data:`CHUNK` lanes: the halves of every non-final cell,
+their halves, and so on.  The walk still decides on one
 level at a time from these stored results.  After each level it keeps of
 the level below the halves of the cells it split
 (``np.repeat(split[~final], 2)``) and drops the rest, the descendants of
@@ -60,7 +63,7 @@ the cells dropped cost no scalar retries.
 
 :func:`adaptive_integrate` takes several disjoint domains and walks them
 together: a level is the cells of every domain, sorted by left end, so a
-chunk may hold cells of two domains and a level that would be small in each
+batch may hold cells of two domains and a level that would be small in each
 fills fewer, larger batches.  Each domain's accepted cells are still summed
 on their own from left to right, and the domain sums are added in the order
 the domains are given, so the enclosure is bit for bit the sum of one walk
@@ -80,12 +83,16 @@ from .jets import Jet4
 
 __all__ = ["Tolerance", "QuadratureResult", "NonEvaluable", "gl2_enclosure", "adaptive_integrate"]
 
-# cells evaluated in one batch, whether of one level or of a small level
-# and the levels below it.  A jet batch keeps a few hundred arrays of this
-# length alive at once (about 0.6 MiB at 256 cells).  On one 1e-4-wide
-# alpha band, 512 cells raised the peak RSS by about 0.6 MiB more than 256,
-# and 1024 cells by about 1.8 MiB, in a process of about 35 MiB.
+# lanes a level of fewer cells may fill with the levels below it.  Cells
+# evaluated ahead of the walk are discarded below every accepted cell, so a
+# wider budget would evaluate more of them on point-alpha sets.
 CHUNK = 256
+# lanes of the widest batch: a wider level is cut into ceil(n / WIDTH)
+# batches whose sizes differ by at most one.  A jet batch keeps a few
+# hundred arrays of this length alive at once; the tracemalloc peak of one
+# small-alpha jet batch is 0.42 MiB at 256 lanes, 0.82 MiB at 512 and
+# 1.60 MiB at 1024.
+WIDTH = 512
 
 
 class NonEvaluable(RuntimeError):
@@ -260,6 +267,8 @@ def _evaluate_levels(f, lo, hi, depth, tol):
     """Evaluate the level [lo, hi] at ``depth`` and, if it has fewer than
     :data:`CHUNK` cells, as many whole levels below it as fit in one batch
     with it, each the halves of every non-final cell of the level above.
+    The lanes are cut into as few near-equal batches as :data:`WIDTH`
+    allows.
 
     Returns one record per level, ``[lo, hi, final]`` followed by the
     :func:`_chunk` results, and the number of batches.  Only the first
@@ -277,9 +286,11 @@ def _evaluate_levels(f, lo, hi, depth, tol):
         lanes += below_lo.size
     cells = [np.concatenate(a) for a in zip(*levels)]
     retry = np.arange(lanes) < lo.size
+    count = -(-lanes // WIDTH)
+    edges = [k * lanes // count for k in range(count + 1)]
     chunks = [
-        _chunk(f, *(a[s : s + CHUNK] for a in cells), tol, retry[s : s + CHUNK])
-        for s in range(0, lanes, CHUNK)
+        _chunk(f, *(a[s:e] for a in cells), tol, retry[s:e])
+        for s, e in zip(edges, edges[1:])
     ]
     results = [np.concatenate(a) for a in zip(*chunks)]
     cuts = np.cumsum([level[0].size for level in levels])[:-1]

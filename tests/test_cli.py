@@ -116,6 +116,9 @@ def test_prove_convexity_requires_alpha(tmp_path):
         ["--alpha=-0.5:0"],
         ["--alpha", "0:0", "--workers", "0"],
         ["--alpha", "0:0", "--workers", "-3"],
+        ["--alpha", "0:0", "--split-threshold", "nan"],
+        ["--alpha", "0:0", "--split-threshold", "0"],
+        ["--alpha", "0:0", "--split-threshold", "-1"],
     ],
 )
 def test_prove_convexity_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):

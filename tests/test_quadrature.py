@@ -196,10 +196,17 @@ def test_multi_domain_walk_adds_up_closed_forms():
             _assert_walks_add_up(fn, domains, tol)
 
 
+def _small_batches(monkeypatch, chunk, width):
+    """Shrink the speculation budget to ``chunk`` lanes and the widest batch
+    to ``width`` lanes, so that levels are cut at odd places."""
+    monkeypatch.setattr(quadrature, "CHUNK", chunk)
+    monkeypatch.setattr(quadrature, "WIDTH", width)
+
+
 def test_multi_domain_chunks_straddle_domains(monkeypatch):
-    """Chunks of three cells put cells of two domains into one batch on
+    """Batches of three cells put cells of two domains into one batch on
     every level that holds cells of both."""
-    monkeypatch.setattr(quadrature, "CHUNK", 3)
+    _small_batches(monkeypatch, 3, 3)
     for _, fn, a, b, _ in CASES[::3]:
         for domains in _domain_splits(a, b):
             _assert_walks_add_up(fn, domains, Tolerance(1e-6, 1e-6, 13))
@@ -263,19 +270,51 @@ def test_pruning_matches_full_evaluation_alpha_limited():
 
 
 def test_level_wider_than_one_chunk():
-    """An alpha-like parameter band keeps every cell too wide, so level 9
-    holds 512 cells, two full chunks."""
+    """An alpha-like parameter band keeps every cell too wide, so level 10
+    holds 1024 cells, two full batches."""
     band = Interval(1.0, 1.001)
-    tol = Tolerance(1e-9, 1e-9, 9)
+    tol = Tolerance(1e-9, 1e-9, 10)
     res = _assert_same_as_reference(lambda x: (x * band).sin(), 0.0, 4.0, tol)
-    assert res.subinterval_count == 2**9 > quadrature.CHUNK
+    assert res.subinterval_count == 2**10 > quadrature.WIDTH
+    assert res.max_depth_hit
+
+
+def test_wide_levels_run_in_near_equal_batches(monkeypatch):
+    """A level of n cells wider than CHUNK runs in ceil(n / WIDTH) batches
+    whose sizes differ by at most one.  Five domains under an alpha-like
+    band keep every cell too wide, so level k holds 5 * 2**k cells: levels
+    0-4 (155 cells) share one batch, level 5 (160) has its own since level 6
+    would not fit in CHUNK, and levels 6-8 (320, 640 and 1280 cells) run in
+    1, 2 and 3 batches.  The enclosure is the references' sum bit for bit."""
+    sizes = []
+    chunk = quadrature._chunk
+
+    def counting(f, lo, *rest):
+        sizes.append(lo.size)
+        return chunk(f, lo, *rest)
+
+    monkeypatch.setattr(quadrature, "_chunk", counting)
+    band = Interval(1.0, 1.001)
+    f = lambda x: (x * band).sin()
+    domains = [(float(k), k + 0.75) for k in (3, -1, 1, 0, 2)]
+    tol = Tolerance(1e-9, 1e-9, 8)
+    res = adaptive_integrate(f, domains, tol)
+    assert sizes == [155, 160, 320, 320, 320, 426, 427, 427]
+    assert res.batches == len(sizes)
+    total, cells, jets = ZERO, 0, 0
+    for a, b in domains:
+        enc, count, depth_hit, jet_count, _ = _reference_integrate(f, a, b, tol)
+        total, cells, jets = total + enc, cells + count, jets + jet_count
+        assert depth_hit
+    assert _hex(res.enclosure) == _hex(total)
+    assert (res.subinterval_count, res.jet_evaluations) == (cells, jets) == (5 * 2**8, 5 * 2**8)
     assert res.max_depth_hit
 
 
 def test_chunk_boundaries_change_nothing(monkeypatch):
-    """Chunks of three cells split every level at odd places; every closed
+    """Batches of three cells split every level at odd places; every closed
     form still gets the single-cell enclosure, cell count and depth flag."""
-    monkeypatch.setattr(quadrature, "CHUNK", 3)
+    _small_batches(monkeypatch, 3, 3)
     for name, fn, a, b, _ in CASES[::3]:
         _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
 
@@ -296,13 +335,15 @@ def _alpha_band_halves():
     return make_kt_integrand(spec), halves, Tolerance(max_depth=7)
 
 
-@pytest.mark.parametrize("chunk", [3, 7, 256])
-def test_speculative_levels_change_nothing(monkeypatch, chunk):
-    """Levels evaluated ahead of the walk, cut at odd places by small
-    chunks, give every closed form, the alpha-limited band and |x| across
-    a failing point the reference's enclosure bits, cells, jet evaluations
-    and depth-cap flag."""
-    monkeypatch.setattr(quadrature, "CHUNK", chunk)
+@pytest.mark.parametrize(
+    "chunk, width", [pytest.param(3, 5, id="3"), pytest.param(7, 12, id="7"), pytest.param(256, 512, id="256")]
+)
+def test_speculative_levels_change_nothing(monkeypatch, chunk, width):
+    """Levels evaluated ahead of the walk, and wider levels cut into
+    near-equal batches at odd places, give every closed form, the
+    alpha-limited band and |x| across a failing point the reference's
+    enclosure bits, cells, jet evaluations and depth-cap flag."""
+    _small_batches(monkeypatch, chunk, width)
     for name, fn, a, b, _ in CASES:
         _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
     f, halves, tol = _alpha_band_halves()
@@ -385,18 +426,25 @@ def test_non_evaluable_names_the_depth_first_cell():
 
 
 def test_jet_batch_memory():
-    """One full chunk of order-4 jets stays under 1 MiB of numpy and Python
-    allocations; a larger chunk would raise a worker's peak RSS."""
-    spec = IntegrandSpec.for_regime(Regime.SMALL_ALPHA, Interval(0.02, 0.0201), Bump(Interval.around(0.15)))
-    f = make_kt_integrand(spec)
-    edges = np.linspace(1.0 / 128.0, math.pi, quadrature.CHUNK + 1)
-    cells = IntervalArray.batch(edges[:-1], edges[1:])
-    with np.errstate(all="ignore"):
-        tracemalloc.start()
-        try:
-            quadrature._remainder(f, *cells)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert not cells[0].err.any()
-    assert peak < 2**20
+    """The widest batch of order-4 jets stays under 1 MiB of numpy and
+    Python allocations for the vortex, the small- and the big-alpha
+    integrand; a wider batch would raise a worker's peak RSS."""
+    curve = Bump(Interval.around(0.15))
+    edges = np.linspace(1.0 / 128.0, math.pi, quadrature.WIDTH + 1)
+    regimes = [
+        (Regime.VORTEX, Interval(0.0)),
+        (Regime.SMALL_ALPHA, Interval(0.02, 0.0201)),
+        (Regime.BIG_ALPHA, Interval(1.0, 1.0001)),
+    ]
+    for regime, alpha in regimes:
+        f = make_kt_integrand(IntegrandSpec.for_regime(regime, alpha, curve))
+        cells = IntervalArray.batch(edges[:-1], edges[1:])
+        with np.errstate(all="ignore"):
+            tracemalloc.start()
+            try:
+                quadrature._remainder(f, *cells)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert not cells[0].err.any(), regime
+        assert peak < 2**20, regime
