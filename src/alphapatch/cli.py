@@ -94,6 +94,9 @@ def lemma_tasks(min_width=DEFAULT_MIN_WIDTH):
 
 def cmd_prove_lemma(args):
     started = _utc_now()
+    if not args.min_width > 0.0:
+        print(f"--min-width {args.min_width} must be positive", file=sys.stderr)
+        return 2
     tasks = lemma_tasks(args.min_width)
     if args.only:
         tasks = [(name, t) for name, t in tasks if name == args.only]
@@ -133,6 +136,8 @@ def cmd_prove_rotation(args):
     bad += [f"axis ratio {r} outside (0, 1)" for r in ratios if not 0.0 < r < 1.0]
     if not 0.0 < args.delta < math.pi / 4:  # the interior [delta, pi/2 - delta] must exist
         bad.append(f"delta {args.delta} outside (0, pi/4)")
+    if not args.min_width > 0.0:
+        bad.append(f"min width {args.min_width} must be positive")
     if bad:
         print("; ".join(bad), file=sys.stderr)
         return 2

@@ -724,10 +724,11 @@ class IntervalArray(Interval):
         return IntervalArray(lo, hi, self.err, False)
 
     def sqrt(self):
-        slow = ~(self.lo > 0.0)
-        lo = _dn(_dn(np.sqrt(np.where(slow, 1.0, self.lo))))
-        hi = _up(_up(np.sqrt(np.where(slow, 1.0, self.hi))))
-        return self._scalar_lanes(lo, hi, slow, Interval.sqrt)
+        ok = self.lo > 0.0  # Interval.sqrt raises on the others
+        self.require(ok, None)
+        lo = _dn(_dn(np.sqrt(np.where(ok, self.lo, 1.0))))
+        hi = _up(_up(np.sqrt(np.where(ok, self.hi, 1.0))))
+        return IntervalArray(lo, hi, self.err)
 
     def exp(self):
         slow = ~(self.hi <= _EXP_ARG)
@@ -737,10 +738,11 @@ class IntervalArray(Interval):
         return self._scalar_lanes(lo, hi, slow, Interval.exp)
 
     def log(self):
-        slow = ~(self.lo > 0.0)
-        lo = _dn(_dn(_map(math.log, np.where(slow, 1.0, self.lo))))
-        hi = _up(_up(_map(math.log, np.where(slow, 1.0, self.hi))))
-        return self._scalar_lanes(lo, hi, slow, Interval.log)
+        ok = self.lo > 0.0  # Interval.log raises on the others
+        self.require(ok, None)
+        lo = _dn(_dn(_map(math.log, np.where(ok, self.lo, 1.0))))
+        hi = _up(_up(_map(math.log, np.where(ok, self.hi, 1.0))))
+        return IntervalArray(lo, hi, self.err)
 
     def pow(self, p):
         return (_operand(p) * self.log()).exp()

@@ -46,29 +46,13 @@ class Jet4:
 
     def deriv(self, k):
         """Interval enclosure of the k-th derivative (k = 0..4)."""
-        if k == 0 or self.c[k].is_zero():
+        if k < 2 or self.c[k].is_zero():  # 0! = 1! = 1, and zero stays zero
             return self.c[k]
         return self.c[k] * _FACT[k]
 
     @property
     def d0(self):
         return self.c[0]
-
-    @property
-    def d1(self):
-        return self.c[1]
-
-    @property
-    def d2(self):
-        return self.deriv(2)
-
-    @property
-    def d3(self):
-        return self.deriv(3)
-
-    @property
-    def d4(self):
-        return self.deriv(4)
 
     def __repr__(self):
         return f"Jet4({self.c!r})"
@@ -222,7 +206,3 @@ class Jet4:
         """|f| = sign(f) f; the value interval must not contain 0."""
         d0 = self.c[0]
         return Jet4(tuple(d0.sign_times(c) for c in self.c))
-
-    def half(self):
-        """Exact halving of every coefficient."""
-        return Jet4(tuple(c.half() for c in self.c))

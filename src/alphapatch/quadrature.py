@@ -33,11 +33,16 @@ batches of at most :data:`WIDTH` lanes.  Each batch evaluates its node sums
 (both nodes of every cell in one call on twice as many lanes), its crude
 bounds and its remainders with one integrand call per kind, on
 :class:`IntervalArray` lanes, so the integrand must be generic over those
-too (the regime integrands are).  A cell whose lane is flagged, or every
-cell of a batch that raises, is evaluated again on plain intervals; each
-cell therefore gets exactly the enclosure the one-cell evaluation gives.
-The accepted enclosures are summed from left to right, the order a
-depth-first walk accepts them in, so the total is the same bit for bit as
+too (the regime integrands are).  The flag mask is the only way a batch
+reports a failure: an array operation flags a lane exactly where the
+one-cell :class:`Interval` evaluation raises, and carries that evaluation's
+bits on every other lane.  A flagged lane, or every lane of a batch that
+raises, has no enclosure of that kind, so each cell gets exactly the
+enclosure, or the lack of one, that the one-cell evaluation gives.  A lane
+flagged where the one-cell evaluation succeeds could only cost an
+enclosure, and with it a split or a :class:`NonEvaluable`, never make one
+unsound.  The accepted enclosures are summed from left to right, the order
+a depth-first walk accepts them in, so the total is the same bit for bit as
 well.
 
 A batch costs nearly as much for a few lanes as for a few hundred, so
@@ -55,11 +60,8 @@ enclosure does not depend on the other lanes of its batch, so every
 accept/split decision, enclosure and cell count is the same as when each
 level is evaluated on its own.  What depends on reaching a cell waits
 until the walk reaches it: :class:`NonEvaluable` is raised only for a
-reached final cell, jet evaluations and the depth-cap flag count only
-reached cells, and a flagged lane of a level below the first is left
-pending.  A pending cell is enclosed again, in a batch of its level's
-pending cells that retries on plain intervals, only once it is reached, so
-the cells dropped cost no scalar retries.
+reached final cell, and jet evaluations and the depth-cap flag count only
+reached cells.
 
 :func:`adaptive_integrate` takes several disjoint domains and walks them
 together: a level is the cells of every domain, sorted by left end, so a
@@ -119,8 +121,8 @@ class QuadratureResult:
     max_depth_hit: bool
     # order-4 jet evaluations of the integrand, one per remainder term
     jet_evaluations: int = 0
-    # batches of lanes evaluated, and cells evaluated ahead of the walk that
-    # it never reached
+    # batches of lanes evaluated (every cell is evaluated in exactly one),
+    # and cells evaluated ahead of the walk that it never reached
     batches: int = 0
     discarded_cells: int = 0
 
@@ -178,19 +180,18 @@ def gl2_enclosure(f, a, b):
     return _node_sum(f, *cell) + _remainder(f, *cell)
 
 
-def _evaluate(kind, f, lo, hi, where, retry):
+def _evaluate(kind, f, lo, hi, where):
     """``kind`` on the cells [lo, hi] selected by ``where``, in one batch.
 
-    A cell the batch flags (every cell, if the batch raises) is evaluated
-    again on its own if it is in ``retry``, and left pending otherwise.
     Returns full-length arrays: the enclosures' lower and upper endpoints,
-    where an enclosure exists, and which cells are pending.
+    and where an enclosure exists: on every selected cell the batch did not
+    flag, and on none if it raises.
     """
     n = lo.size
-    elo, ehi, ok, pending = np.zeros(n), np.zeros(n), np.zeros(n, bool), np.zeros(n, bool)
+    elo, ehi, ok = np.zeros(n), np.zeros(n), np.zeros(n, bool)
     sub = np.flatnonzero(where)
     if sub.size == 0:
-        return elo, ehi, ok, pending
+        return elo, ehi, ok
     cells = IntervalArray.batch(lo[sub], hi[sub])
     err = cells[0].err
     try:
@@ -199,56 +200,40 @@ def _evaluate(kind, f, lo, hi, where, retry):
     except IntervalError:
         err[:] = True
     ok[sub] = ~err
-    again = retry[sub]
-    pending[sub] = err & ~again
-    for i in sub[err & again].tolist():
-        try:
-            r = kind(f, *_cell(lo[i], hi[i]))
-        except IntervalError:
-            continue
-        elo[i], ehi[i], ok[i] = r.lo, r.hi, True
-    return elo, ehi, ok, pending
+    return elo, ehi, ok
 
 
-def _chunk(f, lo, hi, final, tol, retry):
+def _chunk(f, lo, hi, final, tol):
     """Enclose the cells [lo, hi] in one batch.
 
     Returns per cell: the enclosure's endpoints, whether it exists, whether
-    it is too wide, whether the jet was evaluated, and whether the cell is
-    pending: flagged somewhere outside ``retry``, so that its other results
-    mean nothing until it is enclosed again.
+    it is too wide, and whether the jet was evaluated.
     """
     length = hi - lo
-    pending = np.zeros(lo.size, bool)
 
     def too_wide(elo, ehi):
         w = ehi - elo
         return (w > tol.abs_tol) & (w > tol.rel_tol * length)
 
-    def evaluate(kind, where):
-        elo, ehi, ok, stuck = _evaluate(kind, f, lo, hi, where & ~pending, retry)
-        pending[stuck] = True
-        return elo, ehi, ok
-
-    blo, bhi, body = evaluate(_node_sum, np.ones(lo.size, bool))
+    blo, bhi, body = _evaluate(_node_sum, f, lo, hi, np.ones(lo.size, bool))
     # a splittable cell whose node sum is already too wide needs its jet only
     # if the crude bound exists and is narrow enough (it is used if the jet fails)
     wide_body = body & ~final & too_wide(blo, bhi)
-    clo, chi, crude = evaluate(_crude, ~body | wide_body)
+    clo, chi, crude = _evaluate(_crude, f, lo, hi, ~body | wide_body)
     want_jet = body & (~wide_body | (crude & ~too_wide(clo, chi)))
-    rlo, rhi, rem = evaluate(_remainder, want_jet)
+    rlo, rhi, rem = _evaluate(_remainder, f, lo, hi, want_jet)
     failed = ~rem
     gl2 = IntervalArray(blo, bhi, failed) + IntervalArray(rlo, rhi, failed)
     jet_failed = want_jet & failed
     late = jet_failed & ~wide_body  # a failed jet whose crude bound is still missing
-    if np.count_nonzero(late & ~pending):
-        llo, lhi, lok = evaluate(_crude, late)
+    if np.count_nonzero(late):
+        llo, lhi, lok = _evaluate(_crude, f, lo, hi, late)
         clo, chi, crude = np.where(late, llo, clo), np.where(late, lhi, chi), crude | lok
     use_gl2 = want_jet & ~failed
     elo = np.where(use_gl2, gl2.lo, clo)
     ehi = np.where(use_gl2, gl2.hi, chi)
     have = use_gl2 | ((~body | jet_failed) & crude)
-    return [elo, ehi, have, too_wide(elo, ehi), want_jet, pending]
+    return elo, ehi, have, too_wide(elo, ehi), want_jet
 
 
 def _final(lo, hi, depth, tol):
@@ -270,10 +255,8 @@ def _evaluate_levels(f, lo, hi, depth, tol):
     The lanes are cut into as few near-equal batches as :data:`WIDTH`
     allows.
 
-    Returns one record per level, ``[lo, hi, final]`` followed by the
-    :func:`_chunk` results, and the number of batches.  Only the first
-    level's flagged cells are evaluated again on their own; the levels below
-    keep theirs pending until the walk reaches them.
+    Returns one record per level, ``(lo, hi, final)`` followed by the
+    :func:`_chunk` results, and the number of batches.
     """
     levels = [(lo, hi, _final(lo, hi, depth, tol))]
     lanes = lo.size
@@ -285,17 +268,13 @@ def _evaluate_levels(f, lo, hi, depth, tol):
         levels.append((below_lo, below_hi, _final(below_lo, below_hi, depth + len(levels), tol)))
         lanes += below_lo.size
     cells = [np.concatenate(a) for a in zip(*levels)]
-    retry = np.arange(lanes) < lo.size
     count = -(-lanes // WIDTH)
     edges = [k * lanes // count for k in range(count + 1)]
-    chunks = [
-        _chunk(f, *(a[s:e] for a in cells), tol, retry[s:e])
-        for s, e in zip(edges, edges[1:])
-    ]
+    chunks = [_chunk(f, *(a[s:e] for a in cells), tol) for s, e in zip(edges, edges[1:])]
     results = [np.concatenate(a) for a in zip(*chunks)]
     cuts = np.cumsum([level[0].size for level in levels])[:-1]
     per_level = zip(*(np.split(a, cuts) for a in cells + results))
-    return [list(record) for record in per_level], len(chunks)
+    return list(per_level), len(chunks)
 
 
 def _sorted_domains(domains):
@@ -331,16 +310,8 @@ def adaptive_integrate(f, domains, tol=Tolerance()):
                 ahead, n = _evaluate_levels(f, lo, hi, depth, tol)
                 batches += n
                 reached = np.ones(lo.size, bool)
-            record = ahead.pop(0)
-            lo, hi, final, elo, ehi, have, wide, want_jet, pending = record
+            lo, hi, final, elo, ehi, have, wide, want_jet = ahead.pop(0)
             discarded += lo.size - int(np.count_nonzero(reached))
-            again = reached & pending
-            if np.count_nonzero(again):
-                # every lane of this batch is retried: again[again] is all True
-                redo = _chunk(f, lo[again], hi[again], final[again], tol, again[again])
-                for a, r in zip(record[3:], redo):
-                    a[again] = r
-                batches += 1
             missing = reached & final & ~have
             if np.count_nonzero(missing):
                 i = int(np.argmax(missing))

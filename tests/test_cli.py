@@ -41,6 +41,26 @@ def test_prove_lemma_unknown_task(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--min-width", "0"],
+        ["--min-width", "-1"],
+        ["--min-width", "nan"],
+        ["--only", "kC:0.15", "--min-width", "0"],
+    ],
+)
+def test_prove_lemma_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
+    """One line on stderr and exit 2, before any task is certified."""
+    import alphapatch.cli as cli
+
+    monkeypatch.setattr(cli, "validate_sign", lambda *a, **k: pytest.fail("work started"))
+    out_dir = tmp_path / "out"
+    assert main(["prove-lemma", *flags, "--out-dir", str(out_dir)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_prove_rotation_single_pair(tmp_path, capsys):
     code = main(
         [
@@ -142,6 +162,9 @@ def test_prove_convexity_rejects_bad_input(tmp_path, capsys, monkeypatch, flags)
         ["--alpha", "nan"],
         ["--delta", "1"],
         ["--delta", "0"],
+        ["--min-width", "0"],
+        ["--min-width", "-1"],
+        ["--min-width", "nan"],
     ],
 )
 def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):

@@ -316,8 +316,9 @@ def _node_intervals(rnd, count):
 def test_value_slot_matches_interval_evaluation(curve):
     """The quadrature evaluates its Gauss nodes on plain intervals: that must
     be bit-for-bit the value slot of the jet evaluation, and fail exactly
-    where the jet evaluation fails."""
-    rnd = random.Random(4)
+    where the jet evaluation fails.  Batched, the nodes and the cells the
+    quadrature evaluates whole keep each lane's single-interval result."""
+    rnd, cells_rnd = random.Random(4), random.Random(5)
     outcomes = set()
     for regime, lo, hi in _VALUE_SLOT_BANDS:
         f = make_kt_integrand(_spec(regime, lo, hi, curve))
@@ -337,14 +338,38 @@ def test_value_slot_matches_interval_evaluation(curve):
                 assert plain == slot, (regime, lo, hi, x, plain, slot)
             outcomes.add(plain is None)
         _assert_batched_evaluation_matches(f, xs, regime)
+        _assert_batched_evaluation_matches(f, _dyadic_cells(cells_rnd), regime)
     assert outcomes == {True, False}
 
 
+def _dyadic_cell(a, b, depth, k):
+    """Cell ``k`` of [a, b] at ``depth``, halved at midpoints as the
+    quadrature's walk halves it."""
+    for bit in reversed(range(depth)):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if k >> bit & 1 else (a, mid)
+    return Interval(a, b)
+
+
+def _dyadic_cells(rnd):
+    """Quadrature cells of both window halves at depths 0-13, the crude
+    bounds' and remainders' arguments: at each depth the two end cells of
+    each half and one random cell between."""
+    edge = 1.0 / 128.0
+    out = []
+    for a, b in ((edge, math.pi), (-math.pi, -edge)):
+        for depth in range(14):
+            n = 2**depth
+            for k in sorted({0, rnd.randrange(n), n - 1}):
+                out.append(_dyadic_cell(a, b, depth, k))
+    return out
+
+
 def _assert_batched_evaluation_matches(f, xs, what):
-    """The nodes as lanes of one batch, across both sides of the window as
-    the quadrature batches them, plus a lane straddling the window: the plain
-    evaluation and all five jet slots carry each lane's single-interval bits
-    and are flagged exactly where it raises."""
+    """The intervals as lanes of one batch, across both sides of the window
+    as the quadrature batches them, plus a lane straddling the window: the
+    plain evaluation and all five jet slots carry each lane's
+    single-interval bits and are flagged exactly where it raises."""
     xs = xs + [Interval(-1e-3, 2e-3)]
     assert {x.hi < 0.0 for x in xs} == {True, False}
     with np.errstate(all="ignore"):
@@ -352,6 +377,7 @@ def _assert_batched_evaluation_matches(f, xs, what):
         assert_lanes_match(f(X), [single(f, x) for x in xs], (what, "plain"), X)
         X = lanes(xs)
         jet = f(Jet4.variable(X))
+        one = [single(lambda x: f(Jet4.variable(x)), x) for x in xs]
         for k in range(5):
-            singles = [single(lambda x: f(Jet4.variable(x)).deriv(k), x) for x in xs]
+            singles = [None if j is None else single(j.deriv, k) for j in one]
             assert_lanes_match(jet.deriv(k), singles, (what, "jet", k), X)

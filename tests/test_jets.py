@@ -13,8 +13,8 @@ mp.dps = 40
 def test_variable_jet():
     j = Jet4.variable(Interval(2.0))
     assert j.d0 == Interval(2.0)
-    assert j.d1 == Interval(1.0)
-    assert j.d2.is_zero() and j.d3.is_zero() and j.d4.is_zero()
+    assert j.deriv(1) == Interval(1.0)
+    assert j.deriv(2).is_zero() and j.deriv(3).is_zero() and j.deriv(4).is_zero()
 
 
 def test_constant_jet():
@@ -121,7 +121,7 @@ _OUTER = [
     ("exp", lambda u: u.exp(), lambda u: mp.e**u),
     ("log2p", lambda u: (u + 2.5).log(), lambda u: mp.log(u + mpf(2.5))),
     ("sqrt3p", lambda u: (u + 3.0).sqrt(), lambda u: mp.sqrt(u + 3)),
-    ("tanh_half", lambda u: u.half().tan(), lambda u: mp.tan(u / 2)),
+    ("tanh_half", lambda u: (u * 0.5).tan(), lambda u: mp.tan(u / 2)),
     ("sqr", lambda u: u.sqr(), lambda u: u * u),
     ("pow1.7", lambda u: (u + 2.0).pow(1.7), lambda u: (u + 2) ** mpf(1.7)),
 ]
