@@ -62,7 +62,7 @@ class DivisionByZeroInterval(IntervalError):
 
 class DomainViolation(IntervalError):
     """Argument interval leaves the domain of the function (log/sqrt/pow of
-    an interval touching zero, tan across a pole, ...)."""
+    an interval touching zero, ...)."""
 
 
 class EndpointOverflow(IntervalError):
@@ -227,25 +227,9 @@ class Interval:
     def __neg__(self):
         return _mk(-self.hi, -self.lo)
 
-    def __abs__(self):
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return _mk(-self.hi, -self.lo)
-        return _mk(0.0, max(-self.lo, self.hi))
-
     def half(self):
         """x/2 without outward padding (halving a double is exact)."""
         return _mk(0.5 * self.lo, 0.5 * self.hi)
-
-    def sign_times(self, x):
-        """``x`` times the sign of this interval, exactly (a negation or
-        nothing); the interval must not contain 0."""
-        if self.lo > 0.0:
-            return x
-        if self.hi < 0.0:
-            return -x
-        raise DomainViolation(f"sign of {self!r}, which contains 0")
 
     def require(self, ok, error):
         """Raise ``error()`` unless ``ok``.  On an :class:`IntervalArray`,
@@ -324,26 +308,6 @@ class Interval:
 
     def cos(self):
         return _sin_cos(self, 1)
-
-    def tan(self):
-        a, b = self.lo, self.hi
-        if b - a >= math.pi:
-            raise DomainViolation("tan over an interval wider than a branch")
-        # poles at (2k+1) * pi/2; each pole lies strictly inside its
-        # enclosure (PI.half() is exact, integer scaling pads outward), so
-        # strict overlap tests are sound and an interval may end exactly on
-        # an enclosure endpoint
-        k_lo = math.floor(a / math.pi - 0.5) - 1
-        k_hi = math.ceil(b / math.pi - 0.5) + 1
-        half_pi = PI.half()
-        for k in range(int(k_lo), int(k_hi) + 1):
-            m = 2 * k + 1
-            pole = half_pi if abs(m) == 1 else half_pi * abs(m)
-            if m < 0:
-                pole = -pole  # negation is exact, keeps the enclosure tight
-            if pole.hi > a and pole.lo < b:
-                raise DomainViolation(f"tan pole near {pole.mid()} inside {self!r}")
-        return _mk(_pad2dn(math.tan(a)), _pad2up(math.tan(b)))
 
 
 def _mk(lo, hi):
@@ -675,35 +639,17 @@ class IntervalArray(Interval):
     def __neg__(self):
         return IntervalArray(-self.hi, -self.lo, self.err, self.zero)
 
-    def __abs__(self):
-        lo, hi = self.lo, self.hi
-        pos, neg = lo >= 0.0, hi <= 0.0
-        straddle_hi = np.where(hi > -lo, hi, -lo)  # Python's max(-lo, hi)
-        return IntervalArray(
-            np.where(pos, lo, np.where(neg, -hi, 0.0)),
-            np.where(pos, hi, np.where(neg, -lo, straddle_hi)),
-            self.err,
-        )
-
-    def half(self):
-        return IntervalArray(0.5 * self.lo, 0.5 * self.hi, self.err)
-
     def is_zero(self):
         """True only if every lane is [0, 0]."""
         return self.zero is not False and bool(self.zero.all())
-
-    def sign_times(self, x):
-        neg = self.hi < 0.0
-        self.require(neg | (self.lo > 0.0), None)
-        minus = -x
-        return IntervalArray(np.where(neg, minus.lo, x.lo), np.where(neg, minus.hi, x.hi), self.err)
 
     def require(self, ok, error):
         self.err |= ~ok
 
     def _scalar_lanes(self, lo, hi, lanes, method):
         """(lo, hi) with the unflagged ``lanes`` recomputed by the single-
-        interval ``method``; a lane where it raises is flagged."""
+        interval ``method`` (exp, sin or cos); a lane where it raises (an
+        exp overflow) is flagged."""
         for i in np.flatnonzero(lanes & ~self.err).tolist():
             try:
                 r = method(Interval(self.lo[i], self.hi[i]))
@@ -752,10 +698,6 @@ class IntervalArray(Interval):
 
     def cos(self):
         return _sin_cos_lanes(self, 1)
-
-    def tan(self):
-        n = self.lo.size
-        return self._scalar_lanes(np.zeros(n), np.zeros(n), np.ones(n, bool), Interval.tan)
 
 
 def _sin_cos_lanes(X, which):

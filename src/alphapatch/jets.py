@@ -189,11 +189,6 @@ class Jet4:
     def cos(self):
         return self.sin_cos()[1]
 
-    def tan(self):
-        self.c[0].tan()  # branch check on the value enclosure
-        s, c = self.sin_cos()
-        return s / c
-
     def sqrt(self):
         return self.pow(0.5)
 
@@ -201,8 +196,3 @@ class Jet4:
         """x^p via exp(p log x); one code path for |.|^alpha-style exponents."""
         p = _as_interval(p)
         return (self.log() * p).exp()
-
-    def __abs__(self):
-        """|f| = sign(f) f; the value interval must not contain 0."""
-        d0 = self.c[0]
-        return Jet4(tuple(d0.sign_times(c) for c in self.c))

@@ -16,34 +16,27 @@ of the integrand over the whole cell.
 The adaptive driver splits a cell at its midpoint while its enclosure is
 wider than both tolerances, and caps the splitting depth; a cell at the
 depth cap is accepted as-is (the cap guards against unbounded refinement
-under wide parameter intervals, it is not an error).  If the jet evaluation
-of a cell fails with an interval-domain error but a zeroth-order evaluation
-succeeds, the crude bound (b-a)*f([a,b]) is used for that cell.
-
-A splittable cell below the depth cap is split without evaluating its jet
-when the node sum alone is wider than both tolerances and the crude bound is
-absent or too wide as well.  Interval addition adds the widths of its
-operands and rounds outward, so the GL2 enclosure (node sum plus remainder)
-is at least as wide as the node sum: that cell could not have been accepted
-whatever its remainder, and every accepted cell, enclosure and depth-cap
-flag is the same as with the jet evaluated on every cell.
+under wide parameter intervals, it is not an error).  A splittable cell
+whose node sum is already too wide is split without its jet: a cell's only
+enclosure is its GL2 sum, and interval addition, which adds the widths of
+its operands and rounds outward, never makes that narrower than the node
+sum.
 
 The driver decides one depth level at a time and evaluates cells in
 batches of at most :data:`WIDTH` lanes.  Each batch evaluates its node sums
-(both nodes of every cell in one call on twice as many lanes), its crude
-bounds and its remainders with one integrand call per kind, on
-:class:`IntervalArray` lanes, so the integrand must be generic over those
-too (the regime integrands are).  The flag mask is the only way a batch
-reports a failure: an array operation flags a lane exactly where the
-one-cell :class:`Interval` evaluation raises, and carries that evaluation's
-bits on every other lane.  A flagged lane, or every lane of a batch that
-raises, has no enclosure of that kind, so each cell gets exactly the
-enclosure, or the lack of one, that the one-cell evaluation gives.  A lane
-flagged where the one-cell evaluation succeeds could only cost an
-enclosure, and with it a split or a :class:`NonEvaluable`, never make one
-unsound.  The accepted enclosures are summed from left to right, the order
-a depth-first walk accepts them in, so the total is the same bit for bit as
-well.
+(both nodes of every cell in one call on twice as many lanes) and its
+remainders with one integrand call each, on :class:`IntervalArray` lanes,
+so the integrand must be generic over those too (the regime integrands
+are).  The flag mask is the only way a batch reports a failure: an array
+operation flags a lane exactly where the one-cell :class:`Interval`
+evaluation raises, and carries that evaluation's bits on every other lane.
+A flagged lane, or every lane of a batch that raises, has no enclosure, so
+each cell gets exactly the enclosure, or the lack of one, that the one-cell
+evaluation gives.  A lane flagged where the one-cell evaluation succeeds
+could only cost an enclosure, and with it a split or a
+:class:`NonEvaluable`, never make one unsound.  The accepted enclosures
+are summed from left to right, the order a depth-first walk accepts them
+in, so the total is the same bit for bit as well.
 
 A batch costs nearly as much for a few lanes as for a few hundred, so
 batches are made few and full.  A level of n > :data:`CHUNK` cells is cut
@@ -127,7 +120,7 @@ class QuadratureResult:
     discarded_cells: int = 0
 
 
-# The three kinds of cell evaluation.  A and B are the point intervals at the
+# The two kinds of cell evaluation.  A and B are the point intervals at the
 # cell's ends and X the cell itself, either single intervals or lanes.
 
 
@@ -156,11 +149,6 @@ def _remainder(f, A, B, X):
     """(b-a)^5 f''''([a,b]) / 4320 from the order-4 jet over the cell."""
     d4 = f(Jet4.variable(X)).deriv(4)
     return (B - A).powi(5) * d4 / 4320.0
-
-
-def _crude(f, A, B, X):
-    """The crude bound (b-a)*f([a,b])."""
-    return (B - A) * f(X)
 
 
 def _cell(a, b):
@@ -216,24 +204,11 @@ def _chunk(f, lo, hi, final, tol):
         return (w > tol.abs_tol) & (w > tol.rel_tol * length)
 
     blo, bhi, body = _evaluate(_node_sum, f, lo, hi, np.ones(lo.size, bool))
-    # a splittable cell whose node sum is already too wide needs its jet only
-    # if the crude bound exists and is narrow enough (it is used if the jet fails)
-    wide_body = body & ~final & too_wide(blo, bhi)
-    clo, chi, crude = _evaluate(_crude, f, lo, hi, ~body | wide_body)
-    want_jet = body & (~wide_body | (crude & ~too_wide(clo, chi)))
+    want_jet = body & (final | ~too_wide(blo, bhi))
     rlo, rhi, rem = _evaluate(_remainder, f, lo, hi, want_jet)
-    failed = ~rem
+    failed = ~rem  # the sum flags its overflowing lanes here too
     gl2 = IntervalArray(blo, bhi, failed) + IntervalArray(rlo, rhi, failed)
-    jet_failed = want_jet & failed
-    late = jet_failed & ~wide_body  # a failed jet whose crude bound is still missing
-    if np.count_nonzero(late):
-        llo, lhi, lok = _evaluate(_crude, f, lo, hi, late)
-        clo, chi, crude = np.where(late, llo, clo), np.where(late, lhi, chi), crude | lok
-    use_gl2 = want_jet & ~failed
-    elo = np.where(use_gl2, gl2.lo, clo)
-    ehi = np.where(use_gl2, gl2.hi, chi)
-    have = use_gl2 | ((~body | jet_failed) & crude)
-    return elo, ehi, have, too_wide(elo, ehi), want_jet
+    return gl2.lo, gl2.hi, ~failed, too_wide(gl2.lo, gl2.hi), want_jet
 
 
 def _final(lo, hi, depth, tol):

@@ -92,12 +92,14 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 2.0:
             raise ValueError("alpha must lie in [0, 2)")
+        if not math.isfinite(self.jump):
+            raise ValueError(f"jump {self.jump} must be finite")
         if not (self.rk_abs_tol > 0 and self.rk_rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if not (self.filter_strength > 0 and self.filter_order > 0):
             raise ValueError("filter parameters must be positive")
-        if not (self.t_final > 0 and self.snapshot_interval > 0):
-            raise ValueError("t_final and snapshot_interval must be positive")
+        if not (0 < self.t_final < math.inf and self.snapshot_interval > 0):
+            raise ValueError("t_final must be finite and positive, and snapshot_interval positive")
         if not (0.0 < self.arc_chord_factor < 1.0):
             raise ValueError("arc_chord_factor must lie in (0, 1)")
 
@@ -496,7 +498,13 @@ def evolve(state, cfg, on_snapshot=None):
 # ---------------------------------------------------------------------------
 
 
+def _require_radius(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} {value} must be a finite value > 0")
+
+
 def circle_state(radius=1.0, n=512):
+    _require_radius("radius", radius)
     grid = np.arange(n) * (TWO_PI / n)
     pts = np.stack([radius * np.cos(grid), radius * np.sin(grid)], axis=1)
     return SimState(pts)
@@ -508,6 +516,8 @@ def ellipse_state(r1=1.0, r2=3.0, n=512):
     Uniform arclength keeps |z_x| spatially constant, which the tangential
     term then maintains for all time.
     """
+    _require_radius("r1", r1)
+    _require_radius("r2", r2)
     if r1 == r2:
         grid = np.arange(n) * (TWO_PI / n)
         pts = np.stack([r1 * np.cos(grid), r2 * np.sin(grid)], axis=1)
@@ -529,6 +539,8 @@ def ellipse_state(r1=1.0, r2=3.0, n=512):
 
 def bump_state(c_phase=0.15, n=512):
     """The proof curve sampled on the uniform parameter grid."""
+    if not math.isfinite(c_phase):
+        raise ValueError(f"c_phase {c_phase} must be finite")
     grid = np.arange(n) * (TWO_PI / n) - math.pi
     with np.errstate(divide="ignore", over="ignore"):
         t2 = (grid / math.pi) ** 2

@@ -195,6 +195,16 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
         ["--set", "arc_chord_factor=0"],
         ["--set", "arc_chord_factor=nan"],
         ["no/such/dir/run.cfg"],
+        ["--set", "jump=nan"],
+        ["--set", "jump=-inf"],
+        ["--set", "r1=nan"],
+        ["--set", "r1=0"],
+        ["--set", "r2=inf"],
+        ["--set", "r2=-3"],
+        ["--set", "shape=circle", "--set", "radius=0"],
+        ["--set", "shape=circle", "--set", "radius=nan"],
+        ["--set", "shape=bump", "--set", "c_phase=nan"],
+        ["--set", "t_final=inf"],
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, monkeypatch, config):

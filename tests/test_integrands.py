@@ -133,17 +133,6 @@ def test_counterterms_project_to_zero():
         mp.dps = 30
 
 
-def test_counterterm_odd_cancellation():
-    """The tangent counter-kernel sgn(y)/|2tan(y/2)|^{alpha-1} integrates to
-    zero over the symmetric period: its values at +-y cancel."""
-    a = Interval(1.96)
-    for y in (0.5, 1.5, 2.5):
-        plus = abs(Interval(y).half().tan() * 2.0).pow(-(a - 1.0)) * 1.0
-        minus = abs(Interval(-y).half().tan() * 2.0).pow(-(a - 1.0)) * -1.0
-        s = plus + minus
-        assert s.contains(0.0)
-
-
 def test_dalpha_matches_alpha_derivative():
     """Central difference of the plain target in alpha lies inside the
     DI enclosure (pointwise in y), in the small-alpha range and across the

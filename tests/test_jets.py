@@ -1,10 +1,9 @@
 import math
 import random
 
-import pytest
 from mpmath import mp, mpf, diff
 
-from alphapatch.interval import Interval, DomainViolation, PI
+from alphapatch.interval import Interval, PI
 from alphapatch.jets import Jet4
 
 mp.dps = 40
@@ -70,15 +69,6 @@ def test_bump_exponent_jet_oracle():
         assert d.width() < 1e-10
 
 
-def test_abs_requires_sign():
-    v = Jet4.variable(Interval(-1.0, 1.0))
-    with pytest.raises(DomainViolation):
-        abs(v)
-    w = Jet4.variable(Interval(2.0, 3.0))
-    assert abs(w).d0 == w.d0
-    assert abs(-w).d0 == w.d0
-
-
 def test_pow_interval_exponent():
     v = Jet4.variable(Interval(2.0))
     j = v.pow(Interval(1.5))
@@ -89,11 +79,16 @@ def test_pow_interval_exponent():
         assert d.lo <= e <= d.hi and d.width() < 1e-10
 
 
+def _tan(u):
+    s, c = u.sin_cos()
+    return s / c
+
+
 _EXPRS = [
     ("sin(x)*exp(cos(x))", lambda x: x.sin() * x.cos().exp(), lambda x: mp.sin(x) * mp.e ** mp.cos(x)),
     ("log(2+sin(x))", lambda x: (2.0 + x.sin()).log(), lambda x: mp.log(2 + mp.sin(x))),
     ("1/(1+x^2)", lambda x: 1.0 / (1.0 + x.sqr()), lambda x: 1 / (1 + x * x)),
-    ("tan(x/2)", lambda x: (x * 0.5).tan(), lambda x: mp.tan(x / 2)),
+    ("tan(x/2)", lambda x: _tan(x * 0.5), lambda x: mp.tan(x / 2)),
     ("sqrt(3+x)", lambda x: (x + 3.0).sqrt(), lambda x: mp.sqrt(3 + x)),
     ("exp(x)/(2+cos(x))", lambda x: x.exp() / (x.cos() + 2.0), lambda x: mp.e**x / (2 + mp.cos(x))),
     ("x^2.5 * log(x)", lambda x: x.pow(2.5) * x.log(), lambda x: x**mpf(2.5) * mp.log(x)),
@@ -121,7 +116,7 @@ _OUTER = [
     ("exp", lambda u: u.exp(), lambda u: mp.e**u),
     ("log2p", lambda u: (u + 2.5).log(), lambda u: mp.log(u + mpf(2.5))),
     ("sqrt3p", lambda u: (u + 3.0).sqrt(), lambda u: mp.sqrt(u + 3)),
-    ("tanh_half", lambda u: (u * 0.5).tan(), lambda u: mp.tan(u / 2)),
+    ("tan_half", lambda u: _tan(u * 0.5), lambda u: mp.tan(u / 2)),
     ("sqr", lambda u: u.sqr(), lambda u: u * u),
     ("pow1.7", lambda u: (u + 2.0).pow(1.7), lambda u: (u + 2) ** mpf(1.7)),
 ]

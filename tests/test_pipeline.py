@@ -146,8 +146,8 @@ def test_worker_sharding_matches_sequential(tmp_path):
 
 # process() per ParameterSet, as first certified with one quadrature walk per
 # y-half: enclosure endpoints (float.hex), cells, jet evaluations and the
-# depth-cap flag.  The six point sets of the prove-point benchmark and one
-# alpha band
+# depth-cap flag.  The six point sets of the prove-point benchmark and the
+# two alpha bands of the prove-band benchmark
 _PROCESS_BITS = {
     (0.15, 0.0, 0.0): ("-0x1.493bbf915a444p-5", "-0x1.48ccaa6f18cf0p-5", 311, 620, False),
     (0.15, 0.02, 0.02): ("-0x1.6b2d93549c584p-6", "-0x1.69f940cd12514p-6", 413, 824, False),
@@ -156,6 +156,7 @@ _PROCESS_BITS = {
     (0.45, 0.0, 0.0): ("-0x1.d0cfb79366fd4p-4", "-0x1.d099e2cf504c0p-4", 319, 636, False),
     (0.45, 1.0, 1.0): ("0x1.c895e567427e8p+1", "0x1.c8986326e158cp+1", 491, 980, False),
     (0.15, 1.0, 1.0001): ("0x1.31a25e7be8f7cp+0", "0x1.34a845b429b44p+0", 4633, 4667, True),
+    (0.15, 0.02, 0.0201): ("-0x1.8cded20893844p-6", "-0x1.46c233b112bd4p-6", 3684, 3718, True),
 }
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from mpmath import mpf
+from mpmath import atan, mpf, pi
 
 from alphapatch import quadrature
 from alphapatch.interval import Interval, IntervalArray, DomainViolation, IntervalError, ZERO
@@ -56,13 +56,6 @@ def test_pathological_raises():
         adaptive_integrate(bad, [(0.0, 1.0)], Tolerance(1e-6, 1e-6, 3))
 
 
-def test_order0_fallback():
-    # |x| on a cell straddling 0 fails at jet level (abs of straddling value)
-    # but the zeroth-order interval bound still applies
-    res = adaptive_integrate(lambda x: abs(x), [(-1.0, 1.0)], Tolerance(1e-3, 1e-3, 6))
-    assert res.enclosure.lo <= 1.0 <= res.enclosure.hi
-
-
 def test_fifty_closed_forms_smoke():
     tol = Tolerance(1e-6, 1e-6, 13)
     for name, fn, a, b, exact in CASES[::5]:
@@ -103,6 +96,13 @@ def test_tiling_accounting():
     assert res.enclosure.lo <= exact <= res.enclosure.hi
 
 
+def _wide_cells_fail(x):
+    """1/((x-1)^2 + 1) written so that its denominator's natural extension
+    straddles 0 on wide cells: the jet over such a cell fails while its
+    Gauss nodes and every narrow cell evaluate."""
+    return 1.0 / (x * x - x * 2.0 + 2.0)
+
+
 def _try(evaluation, *args):
     try:
         return evaluation(*args)
@@ -115,18 +115,14 @@ def _reference_integrate(f, a, b, tol):
     enclosure, jet included, evaluated on every cell: (enclosure, cells,
     depth cap hit, jet evaluations, levels).  The jet evaluations are those
     a walk that splits hopeless cells without their jet makes: on every cell
-    with a node sum, unless the cell is splittable, its node sum too wide
-    and its crude bound missing or too wide.  The levels are one more than
-    the deepest cell visited."""
+    with a node sum, unless the cell is splittable and its node sum too
+    wide.  The levels are one more than the deepest cell visited."""
     total, count, depth_hit, jets, deepest = ZERO, 0, False, 0, 0
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
         deepest = max(deepest, depth)
-        crude = _try(lambda: (Interval(hi) - Interval(lo)) * f(Interval(lo, hi)))
         enc = _try(gl2_enclosure, f, lo, hi)
-        if enc is None:
-            enc = crude
         mid = 0.5 * (lo + hi)
         final = depth >= tol.max_depth or not lo < mid < hi
 
@@ -134,7 +130,7 @@ def _reference_integrate(f, a, b, tol):
             return e.width() > tol.abs_tol and e.width() > tol.rel_tol * (hi - lo)
 
         body = _try(quadrature._node_sum, f, *quadrature._cell(lo, hi))
-        if body is not None and (final or not too_wide(body) or (crude is not None and not too_wide(crude))):
+        if body is not None and (final or not too_wide(body)):
             jets += 1
         wide = enc is not None and too_wide(enc)
         if enc is not None and (final or not wide):
@@ -229,28 +225,8 @@ def test_pruning_matches_full_evaluation_closed_forms():
     for name, fn, a, b, _ in CASES:
         res = _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
         assert res.jet_evaluations >= res.subinterval_count, name
-    res = _assert_same_as_reference(lambda x: abs(x), -1.0, 1.0, Tolerance(1e-3, 1e-3, 6))
+    res = _assert_same_as_reference(_wide_cells_fail, 0.0, 4.0, Tolerance(1e-3, 1e-3, 6))
     assert res.jet_evaluations >= res.subinterval_count
-
-
-def test_pruning_keeps_cells_only_the_crude_bound_accepts():
-    """A cell whose node sum is too wide is still accepted when its jet
-    fails and the crude bound (b-a)*f([a,b]) meets the tolerance.  The
-    contrived integrand is wide on narrow arguments and exact on wide ones,
-    and its jet always fails."""
-
-    def f(x):
-        if isinstance(x, Jet4):
-            raise DomainViolation("no jet")
-        # [0, 1] on the lanes narrower than 0.5, [0, 0] on the others
-        hi = np.where(x.hi - x.lo < 0.5, 1.0, 0.0)
-        if isinstance(x, IntervalArray):
-            return IntervalArray(np.zeros(hi.size), hi, x.err)
-        return Interval(0.0, float(hi))
-
-    res = _assert_same_as_reference(f, 0.0, 1.0, Tolerance(1e-6, 1e-6, 5))
-    assert res.subinterval_count == 1
-    assert (res.enclosure.lo, res.enclosure.hi) == (0.0, 0.0)
 
 
 def test_pruning_matches_full_evaluation_alpha_limited():
@@ -320,11 +296,11 @@ def test_chunk_boundaries_change_nothing(monkeypatch):
 
 
 def test_chunk_mixing_failing_and_good_cells():
-    """|x| near 0: the jet fails on the cells touching 0 and succeeds on the
-    rest of the same batch, where the crude bound stands in."""
-    tol = Tolerance(1e-7, 1e-7, 12)
-    res = _assert_same_as_reference(lambda x: abs(x), -0.7, 1.3, tol)
-    assert res.jet_evaluations > res.subinterval_count > 2
+    """The jet fails on the wide cells of [0, 4] and succeeds on the narrow
+    ones of the same batch."""
+    res = _assert_same_as_reference(_wide_cells_fail, 0.0, 4.0, Tolerance(1e-7, 1e-7, 12))
+    assert mpf(res.enclosure.lo) <= atan(3) + pi / 4 <= mpf(res.enclosure.hi)
+    assert (res.subinterval_count, res.jet_evaluations) == (52, 103)
 
 
 def _alpha_band_halves():
@@ -341,15 +317,18 @@ def _alpha_band_halves():
 def test_speculative_levels_change_nothing(monkeypatch, chunk, width):
     """Levels evaluated ahead of the walk, and wider levels cut into
     near-equal batches at odd places, give every closed form, the
-    alpha-limited band and |x| across a failing point the reference's
-    enclosure bits, cells, jet evaluations and depth-cap flag."""
+    alpha-limited band and an integrand whose wide cells fail the
+    reference's enclosure bits, cells, jet evaluations and depth-cap flag."""
     _small_batches(monkeypatch, chunk, width)
     for name, fn, a, b, _ in CASES:
         _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
     f, halves, tol = _alpha_band_halves()
     for a, b in halves:
         _assert_same_as_reference(f, a, b, tol)
-    res = _assert_same_as_reference(lambda x: abs(x), -0.7, 1.3, Tolerance(1e-7, 1e-7, 12))
+    _assert_same_as_reference(_wide_cells_fail, 0.0, 4.0, Tolerance(1e-7, 1e-7, 12))
+    # the whole and its right half fail; a batch of more than three lanes
+    # also holds halves of cells the walk accepts, which it discards
+    res = _assert_same_as_reference(_wide_cells_fail, -0.7, 1.3, Tolerance(1e-4, 1e-4, 10))
     if chunk > 3:
         assert res.discarded_cells > 0
 
@@ -357,28 +336,21 @@ def test_speculative_levels_change_nothing(monkeypatch, chunk, width):
 def test_unreached_cells_neither_raise_nor_count():
     """Cells at the depth cap below an accepted parent cannot be enclosed.
     The walk evaluates them ahead of time, yet raises nothing for them and
-    counts neither their cells nor their jets.  By argument width: points
-    give [0, 1], so no node sum is narrow; the whole [0, 1] gives [0, 1] and
-    its halves [0, 0]; the quarters fail.  The jet fails on the halves and
-    the quarters, so the halves are accepted on their crude bound."""
+    counts neither their cells nor their jets.  The integrand is 0, and its
+    jet evaluates only on the halves of [0, 1]: the whole fails and is
+    split, the halves are accepted on their GL2 sum, and the quarters fail."""
     quarter_jets = []
 
     def f(x):
         if isinstance(x, Jet4):
             w = x.d0.hi - x.d0.lo
             quarter_jets.append(np.count_nonzero((0.2 < w) & (w < 0.3)))
-            x.d0.require(w > 0.75, lambda: DomainViolation("no jet"))
-            return x * 0.0
-        w = x.hi - x.lo
-        x.require((w < 0.1) | (w > 0.4), lambda: DomainViolation("a quarter"))
-        hi = np.where((w < 0.1) | (w > 0.75), 1.0, 0.0)
-        if isinstance(x, IntervalArray):
-            return IntervalArray(np.zeros(hi.size), hi, x.err)
-        return Interval(0.0, float(hi))
+            x.d0.require((0.4 < w) & (w < 0.75), lambda: DomainViolation("not a half"))
+        return x * 0.0
 
     res = _assert_same_as_reference(f, 0.0, 1.0, Tolerance(1e-6, 1e-6, 2))
     assert sum(quarter_jets) == 4  # the quarters' jets were evaluated, in one batch
-    assert res.subinterval_count == 2 and res.jet_evaluations == 2
+    assert res.subinterval_count == 2 and res.jet_evaluations == 3
     assert res.discarded_cells == 4
     assert (res.enclosure.lo, res.enclosure.hi) == (0.0, 0.0)
     assert not res.max_depth_hit
@@ -411,6 +383,31 @@ def test_point_alpha_walk_batches_fewer_than_levels(monkeypatch):
     halves = [(pipeline.WINDOW_HALF, math.pi), (-math.pi, -pipeline.WINDOW_HALF)]
     levels = max(_reference_integrate(f, a, b, ps.tol)[4] for a, b in halves)
     assert len(node_calls) == v.batches < levels
+
+
+def test_band_walk_calls_the_integrand_twice_per_batch(monkeypatch):
+    """An alpha-limited band set makes at most two batched integrand calls
+    per batch: its node sums, then the remainders of the cells that still
+    need one."""
+    from alphapatch import pipeline
+
+    make = pipeline.make_kt_integrand
+    calls = []
+
+    def counting(spec):
+        f = make(spec)
+
+        def g(y):
+            value = y.d0 if isinstance(y, Jet4) else y
+            if isinstance(value, IntervalArray):
+                calls.append(value.lo.size)
+            return f(y)
+
+        return g
+
+    monkeypatch.setattr(pipeline, "make_kt_integrand", counting)
+    v = pipeline.process(pipeline.ParameterSet.for_phase(1.0, 1.0001, 0.15))
+    assert v.batches < len(calls) <= 2 * v.batches
 
 
 def test_non_evaluable_names_the_depth_first_cell():
