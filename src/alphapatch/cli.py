@@ -176,15 +176,16 @@ def cmd_prove_rotation(args):
 
 
 def _parse_alpha_interval(text):
-    """``lo:hi``, ``lo,hi`` or a single value, inside [0, 2) with lo <= hi."""
+    """``lo:hi``, ``lo,hi`` or a single value: the vortex point 0, or inside
+    (0, 2) with lo <= hi.  No regime covers an interval [0, hi] with hi > 0."""
     parts = text.split(":" if ":" in text else ",")
     try:
         lo, hi = float(parts[0]), float(parts[-1])
-        if len(parts) <= 2 and 0.0 <= lo <= hi < 2.0:
+        if len(parts) <= 2 and (lo == hi == 0.0 or 0.0 < lo <= hi < 2.0):
             return lo, hi
     except ValueError:
         pass
-    raise ValueError(f"bad alpha interval {text!r}: want lo:hi with 0 <= lo <= hi < 2")
+    raise ValueError(f"bad alpha interval {text!r}: want 0 or lo:hi with 0 < lo <= hi < 2")
 
 
 def full_sweep_intervals(step):

@@ -122,14 +122,8 @@ class Interval:
             return 0.0
         return min(abs(self.lo), abs(self.hi))
 
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
     def is_subset(self, other):
         return other.lo <= self.lo and self.hi <= other.hi
-
-    def straddles_zero(self):
-        return self.lo <= 0.0 <= self.hi
 
     def is_zero(self):
         return self.lo == 0.0 and self.hi == 0.0

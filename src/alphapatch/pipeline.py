@@ -5,14 +5,17 @@ constant and quadrature tolerances.  Processing one set selects the
 validation regime, certifies the zone-monotonicity facts the window bounds
 rely on, integrates the regime's integrand over [-pi, pi] outside the fixed
 singularity window [-1/128, 1/128] with validated quadrature, adds the window
-residual, and turns the total enclosure into a verdict.  Indeterminate
-verdicts are split in alpha and re-queued until the split threshold is
-reached; every verdict lands in one of three region files, so the output
-tiles the requested alpha range.
+residual, and turns the total enclosure into a verdict.
 
-Verdicts depend only on their ParameterSet, so sharding the initial sets
-across worker processes changes nothing but wall-clock time; the merge step
-sorts rows deterministically.
+:func:`run_queue` cuts the initial sets at the regime boundaries before any
+work, so every queued set lies in one regime; a midpoint split keeps it
+there.  The parent owns the one queue and processes it in waves: each wave
+maps :func:`process` over the queued sets, and the halves of every
+indeterminate set wider than the split threshold make up the next wave.
+Every verdict lands in one of three region files, so the output tiles the
+requested alpha range.  Verdicts depend only on their ParameterSet, so the
+number of worker processes changes nothing but wall-clock time; the rows are
+sorted deterministically.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -80,8 +82,8 @@ class ParameterSet:
 class RegionVerdict:
     ps: ParameterSet
     outcome: SignOutcome
-    enclosure: Interval | None
-    regime: Regime | None
+    enclosure: Interval
+    regime: Regime
     # quadrature work over both halves: accepted cells, order-4 jet
     # evaluations, whether either half accepted a cell at the depth cap,
     # batches of lanes, and cells evaluated ahead of the walk but never reached
@@ -92,15 +94,13 @@ class RegionVerdict:
     discarded_cells: int = 0
 
     def row(self):
-        enc_lo = "" if self.enclosure is None else _g17(self.enclosure.lo)
-        enc_hi = "" if self.enclosure is None else _g17(self.enclosure.hi)
         return [
             _g17(self.ps.c_phase.mid()),
             _g17(self.ps.alpha.lo),
             _g17(self.ps.alpha.hi),
-            self.regime.value if self.regime else "unresolved",
-            enc_lo,
-            enc_hi,
+            self.regime.value,
+            _g17(self.enclosure.lo),
+            _g17(self.enclosure.hi),
             self.outcome.value,
         ]
 
@@ -215,8 +215,8 @@ def process(ps):
     )
 
 
-def _split_alpha(ps, at=None):
-    cut = ps.alpha.mid() if at is None else at
+def _split_alpha(ps):
+    cut = ps.alpha.mid()
     if not ps.alpha.lo < cut < ps.alpha.hi:
         return None
     return (
@@ -225,59 +225,49 @@ def _split_alpha(ps, at=None):
     )
 
 
-def _boundary_split(ps):
-    """Split a regime-straddling interval exactly at the crossed boundary."""
-    for b in (ALPHA_CR, ALPHA_BR):
-        if ps.alpha.lo < b < ps.alpha.hi:
-            return _split_alpha(ps, at=b)
-    return _split_alpha(ps)
-
-
-def _drain_queue(initial, split_threshold):
-    queue = deque(initial)
-    rows = []
-    while queue:
-        ps = queue.popleft()
-        try:
-            verdict = process(ps)
-        except StraddlesBoundary:
-            halves = _boundary_split(ps)
-            if halves is not None:
-                queue.extend(halves)
-            else:
-                rows.append(RegionVerdict(ps, SignOutcome.INDETERMINATE, None, None))
-            continue
-        if (
-            verdict.outcome == SignOutcome.INDETERMINATE
-            and ps.alpha.width() > split_threshold
-        ):
-            halves = _split_alpha(ps)
-            if halves is not None:
-                queue.extend(halves)
-                continue
-        rows.append(verdict)
-    return rows
+def _regime_pieces(ps):
+    """ps cut at every regime boundary strictly inside its alpha interval."""
+    ends = [ps.alpha.lo]
+    ends += [b for b in (ALPHA_CR, ALPHA_BR) if ps.alpha.lo < b < ps.alpha.hi]
+    ends.append(ps.alpha.hi)
+    return [replace(ps, alpha=Interval(a, b)) for a, b in zip(ends, ends[1:])]
 
 
 def run_queue(initial, split_threshold=SPLIT_THRESHOLD, workers=1):
     """Process ParameterSets until classified.
 
-    Returns the verdict rows sorted by (phase, alpha.lo).  With several
-    workers the initial sets are sharded across processes; each worker owns
-    a private queue, and the merged rows are identical to a sequential run
-    because verdicts depend only on their ParameterSet.
+    The initial sets are first cut at ``ALPHA_CR`` and ``ALPHA_BR``; a set
+    that no regime covers then raises :class:`StraddlesBoundary` (a
+    ``ValueError``) before any work.  The parent processes the queue in
+    waves: one worker maps :func:`process` in this process, several map it
+    over a pool of at most one process per set.  The halves of an
+    indeterminate set wider than ``split_threshold`` join the next wave.
+    Returns the verdict rows sorted by (phase, alpha.lo); they are the same
+    for any number of workers, because verdicts depend only on their
+    ParameterSet.
     """
-    initial = list(initial)
-    if workers <= 1 or len(initial) <= 1:
-        rows = _drain_queue(initial, split_threshold)
-    else:
-        shards = [initial[i::workers] for i in range(workers)]
-        shards = [s for s in shards if s]
-        rows = []
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            futures = [pool.submit(_drain_queue, shard, split_threshold) for shard in shards]
-            for fut in futures:
-                rows.extend(fut.result())
+    queue = [piece for ps in initial for piece in _regime_pieces(ps)]
+    for ps in queue:
+        regime_select(ps.alpha)  # no work starts on an uncovered alpha set
+    rows = []
+    while queue:
+        n = min(workers, len(queue))
+        if n <= 1:
+            # process is looked up here, not bound at import, so a rebound
+            # pipeline.process sees every set
+            verdicts = list(map(process, queue))
+        else:
+            with ProcessPoolExecutor(n) as pool:
+                verdicts = list(pool.map(process, queue))
+        queue = []
+        for v in verdicts:
+            halves = None
+            if v.outcome == SignOutcome.INDETERMINATE and v.ps.alpha.width() > split_threshold:
+                halves = _split_alpha(v.ps)
+            if halves is None:
+                rows.append(v)
+            else:
+                queue.extend(halves)
     rows.sort(key=lambda v: (v.ps.c_phase.mid(), v.ps.alpha.lo, v.ps.alpha.hi))
     return rows
 

@@ -172,11 +172,9 @@ def _derivatives(values, orders, filter_spec):
     return np.fft.irfft(spec, n=n, axis=1)
 
 
-def spectral_derivative(values, order=1, filtered=False, filter_strength=10.0, filter_order=8):
+def spectral_derivative(values, order=1):
     """Differentiate samples of a 2pi-periodic function on a uniform grid."""
-    values = np.asarray(values, dtype=float)
-    filter_spec = (filter_strength, filter_order) if filtered else None
-    return _derivatives(values, (order,), filter_spec)[0]
+    return _derivatives(np.asarray(values, dtype=float), (order,), None)[0]
 
 
 def _pair_blocks(z):

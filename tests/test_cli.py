@@ -134,6 +134,7 @@ def test_prove_convexity_requires_alpha(tmp_path):
         ["--alpha", "0.1:0.2:0.3"],
         ["--alpha", "1.5:2.5"],
         ["--alpha=-0.5:0"],
+        ["--alpha", "0:0.01"],
         ["--alpha", "0:0", "--workers", "0"],
         ["--alpha", "0:0", "--workers", "-3"],
         ["--alpha", "0:0", "--split-threshold", "nan"],

@@ -140,7 +140,7 @@ def test_containment_random_sample():
         x = rnd.uniform(X.lo, X.hi)
         y = rnd.uniform(Y.lo, Y.hi)
         op = _OPS[rnd.randrange(4)]
-        if op == "div" and Y.straddles_zero():
+        if op == "div" and Y.lo <= 0.0 <= Y.hi:
             continue
         Z = {
             "add": lambda: X + Y,
@@ -189,7 +189,7 @@ _ELEM_ORACLES = {"sin": mp.sin, "cos": mp.cos, "log": mp.log, "sqrt": mp.sqrt, "
 
 def test_elem_containment_random():
     for X, x in _elem_sample(3, 5000):
-        assert X.sin().contains(math.sin(x)) or mpf(X.sin().lo) <= mp.sin(mpf(x)) <= mpf(X.sin().hi)
+        assert X.sin().lo <= math.sin(x) <= X.sin().hi or mpf(X.sin().lo) <= mp.sin(mpf(x)) <= mpf(X.sin().hi)
         assert mpf(X.cos().lo) <= mp.cos(mpf(x)) <= mpf(X.cos().hi)
         if X.lo > 0:
             assert mpf(X.log().lo) <= mp.log(mpf(x)) <= mpf(X.log().hi)

@@ -7,8 +7,10 @@ import pytest
 from alphapatch.interval import Interval, SignOutcome
 from alphapatch.integrands import Regime
 from alphapatch.quadrature import Tolerance
+from alphapatch import pipeline
 from alphapatch.pipeline import (
     ParameterSet,
+    RegionVerdict,
     StraddlesBoundary,
     regime_select,
     process,
@@ -129,19 +131,69 @@ def test_no_alpha_interval_in_both_files(tmp_path):
     assert len(pos) == 1 and len(neg) == 1
 
 
-def test_worker_sharding_matches_sequential(tmp_path):
+def _row_bits(v):
+    return (
+        v.ps.c_phase.mid(),
+        v.ps.alpha.lo,
+        v.ps.alpha.hi,
+        v.regime,
+        v.outcome,
+        v.enclosure.lo.hex(),
+        v.enclosure.hi.hex(),
+        v.cells,
+        v.jet_evaluations,
+        v.max_depth_hit,
+        v.batches,
+        v.discarded_cells,
+    )
+
+
+def test_worker_sharding_matches_sequential():
+    # [1.949, 1.951] is cut at ALPHA_BR before any work; [0.02, 0.021] is
+    # indeterminate at this tolerance, so its halves run in a second wave
     initial = [
-        ParameterSet.for_phase(0.0, 0.0, 0.15),
-        ParameterSet.for_phase(0.02, 0.02005, 0.15, tol=Tolerance(1e-4, 1e-4)),
+        ParameterSet.for_phase(1.949, 1.951, 0.15, tol=Tolerance(1e-2, 1e-2)),
+        ParameterSet.for_phase(0.02, 0.021, 0.15, tol=Tolerance(1e-3, 1e-3)),
     ]
-    seq = run_queue(initial, workers=1)
-    par = run_queue(initial, workers=2)
-    assert [(v.ps.alpha.lo, v.outcome) for v in seq] == [
-        (v.ps.alpha.lo, v.outcome) for v in par
+    seq = run_queue(initial, split_threshold=1e-4, workers=1)
+    par = run_queue(initial, split_threshold=1e-4, workers=2)
+    assert [(v.ps.alpha.lo, v.ps.alpha.hi) for v in seq] == [
+        (0.02, 0.0205),
+        (0.0205, 0.021),
+        (1.949, 1.95),
+        (1.95, 1.951),
     ]
-    for a, b in zip(seq, par):
-        assert a.enclosure.lo == b.enclosure.lo
-        assert a.enclosure.hi == b.enclosure.hi
+    assert [_row_bits(v) for v in seq] == [_row_bits(v) for v in par]
+
+
+def test_run_queue_never_processes_a_straddling_set(monkeypatch):
+    seen = []
+
+    def stub(ps):
+        seen.append(ps)
+        regime = regime_select(ps.alpha)
+        return RegionVerdict(ps, SignOutcome.INDETERMINATE, Interval(-1.0, 1.0), regime)
+
+    monkeypatch.setattr(pipeline, "process", stub)
+    spans = [(0.0, 0.0), (1e-9, 0.05), (0.05, 1.99)]
+    initial = [ParameterSet.for_phase(lo, hi, 0.15) for lo, hi in spans]
+    rows = run_queue(initial, split_threshold=0.05)
+    assert len(seen) > len(rows) > len(spans)
+    for ps in seen:
+        regime_select(ps.alpha)  # raises on a set no regime covers
+    # the rows still tile every initial interval
+    for lo, hi in spans:
+        inner = [v.ps.alpha for v in rows if lo <= v.ps.alpha.lo and v.ps.alpha.hi <= hi]
+        assert inner[0].lo == lo and inner[-1].hi == hi
+        assert all(a.hi == b.lo for a, b in zip(inner, inner[1:]))
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 0.01), (1.99, 2.0)])
+def test_run_queue_rejects_uncovered_alpha_before_work(monkeypatch, lo, hi):
+    monkeypatch.setattr(pipeline, "process", lambda ps: pytest.fail("work started"))
+    initial = [ParameterSet.for_phase(1.0, 1.0, 0.15), ParameterSet.for_phase(lo, hi, 0.15)]
+    with pytest.raises(ValueError):
+        run_queue(initial, workers=2)
 
 
 # process() per ParameterSet, as first certified with one quadrature walk per

@@ -31,7 +31,7 @@ def test_identity_indeterminate_at_zero():
     res = validate_sign(task)
     assert res.outcome == SignOutcome.INDETERMINATE
     assert res.witness is not None
-    assert res.witness.sub.contains(0.0) or abs(res.witness.sub.mid()) < 1e-5
+    assert res.witness.sub.lo <= 0.0 <= res.witness.sub.hi or abs(res.witness.sub.mid()) < 1e-5
 
 
 def test_kc_positive_min_width_paper():

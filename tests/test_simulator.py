@@ -47,7 +47,7 @@ def test_spectral_derivative_constant():
 
 def test_spectral_derivative_filtered_single_mode():
     vals = np.sin(GRID)
-    d = spectral_derivative(vals, 1, filtered=True, filter_strength=10.0, filter_order=8)
+    d = simulator._derivatives(vals, (1,), (10.0, 8))[0]
     factor = math.exp(-10.0 * (1.0 / 256.0) ** 8)
     assert np.abs(d - factor * np.cos(GRID)).max() < 1e-12
 
