@@ -204,8 +204,9 @@ def full_sweep_intervals(step):
 
 def _quadrature_work(rows):
     """Per verdict row and in total: accepted quadrature cells, order-4 jet
-    evaluations, whether the depth cap was hit, batches of lanes, and cells
-    evaluated ahead of the walk but never reached (for the manifest)."""
+    evaluations, whether the depth cap was hit, batches of lanes, cells
+    evaluated ahead of the walk but never reached, and cells accepted by the
+    alpha-limited stop (for the manifest)."""
     sets = [
         {
             "c_phase": v.ps.c_phase.mid(),
@@ -216,6 +217,7 @@ def _quadrature_work(rows):
             "max_depth_hit": v.max_depth_hit,
             "batches": v.batches,
             "discarded_cells": v.discarded_cells,
+            "alpha_limited_cells": v.alpha_limited_cells,
         }
         for v in rows
     ]
@@ -225,6 +227,7 @@ def _quadrature_work(rows):
         "max_depth_hit_sets": sum(v.max_depth_hit for v in rows),
         "batches": sum(v.batches for v in rows),
         "discarded_cells": sum(v.discarded_cells for v in rows),
+        "alpha_limited_cells": sum(v.alpha_limited_cells for v in rows),
     }
     return {"sets": sets, "total": total}
 

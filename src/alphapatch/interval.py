@@ -562,6 +562,16 @@ def _div(x, y):
     return IntervalArray(lo, hi, batch.err, zx)
 
 
+def _one_answer(name):
+    """A method of :class:`Interval` that has no lane-by-lane meaning."""
+
+    def unsupported(self, *args):
+        raise TypeError(f"IntervalArray.{name} needs one answer for all lanes; it is not supported")
+
+    unsupported.__name__ = name
+    return unsupported
+
+
 class IntervalArray(Interval):
     """Independent intervals ("lanes") with float64 array endpoints.
 
@@ -572,7 +582,7 @@ class IntervalArray(Interval):
     of a flagged lane mean nothing.  An operand may be another array of the
     same batch, a single interval or a number, which then applies to every
     lane.  Comparisons and queries that would need one answer for all lanes
-    (``mid``, ``hull``, ``==`` and the like) are not supported.
+    (``mid``, ``hull``, ``==`` and the like) raise :class:`TypeError`.
 
     ``zero`` masks the lanes equal to [0, 0], or is False if there are none,
     which is what the zero short-circuits test.  It is worked out here
@@ -632,6 +642,16 @@ class IntervalArray(Interval):
 
     def __neg__(self):
         return IntervalArray(-self.hi, -self.lo, self.err, self.zero)
+
+    # inherited from Interval, these would return a plain Interval without
+    # the flag mask (half) or fail on a numpy truth value
+    half = _one_answer("half")
+    hull = _one_answer("hull")
+    mid = _one_answer("mid")
+    mag = _one_answer("mag")
+    mig = _one_answer("mig")
+    is_subset = _one_answer("is_subset")
+    __eq__ = _one_answer("__eq__")
 
     def is_zero(self):
         """True only if every lane is [0, 0]."""

@@ -86,12 +86,14 @@ class RegionVerdict:
     regime: Regime
     # quadrature work over both halves: accepted cells, order-4 jet
     # evaluations, whether either half accepted a cell at the depth cap,
-    # batches of lanes, and cells evaluated ahead of the walk but never reached
+    # batches of lanes, cells evaluated ahead of the walk but never reached,
+    # and cells accepted by the alpha-limited stop
     cells: int = 0
     jet_evaluations: int = 0
     max_depth_hit: bool = False
     batches: int = 0
     discarded_cells: int = 0
+    alpha_limited_cells: int = 0
 
     def row(self):
         return [
@@ -212,6 +214,7 @@ def process(ps):
         max_depth_hit=quad.max_depth_hit,
         batches=quad.batches,
         discarded_cells=quad.discarded_cells,
+        alpha_limited_cells=quad.alpha_limited_cells,
     )
 
 

@@ -15,17 +15,30 @@ of the integrand over the whole cell.
 
 The adaptive driver splits a cell at its midpoint while its enclosure is
 wider than both tolerances, and caps the splitting depth; a cell at the
-depth cap is accepted as-is (the cap guards against unbounded refinement
-under wide parameter intervals, it is not an error).  A splittable cell
-whose node sum is already too wide is split without its jet: a cell's only
-enclosure is its GL2 sum, and interval addition, which adds the widths of
-its operands and rounds outward, never makes that narrower than the node
-sum.
+depth cap is accepted as-is (the cap guards against unbounded refinement,
+it is not an error).  A cell's only enclosure is its GL2 sum, and interval
+addition, which adds the widths of its operands and rounds outward, never
+makes that narrower than the node sum.  A splittable cell whose node sum is
+already too wide is therefore split without its jet, unless it is
+*alpha-limited*: it lies below the root, and its node sum and its
+sibling's add up to at least :data:`STALL` of their parent's node-sum
+width.  Halving such a cell in y no longer narrows the node sums, because
+their width comes from a parameter interval (an alpha band), not from the
+cell's length.  Its jet is evaluated, and its GL2 sum is accepted once the
+remainder is no wider than :data:`REMAINDER_SHARE` of the node-sum width;
+otherwise it is split as before.  Past that point a split adds cells but
+narrows the enclosure little: the node sums no longer shrink, and the
+remainder is a small part of the sum.  QUADPACK's bisection routines stop
+in the same way when subdividing no longer reduces the error estimate.
+Point-parameter node sums are a few ulps wide, so they never meet this
+rule.
 
 The driver decides one depth level at a time and evaluates cells in
 batches of at most :data:`WIDTH` lanes.  Each batch evaluates its node sums
-(both nodes of every cell in one call on twice as many lanes) and its
-remainders with one integrand call each, on :class:`IntervalArray` lanes,
+(both nodes of every cell in one call on twice as many lanes) and then its
+remainders, with one integrand call each; the cells that need a remainder
+are chosen once every batch has its node sums, since a cell's sibling and
+parent may lie in another batch.  The lanes are :class:`IntervalArray`s,
 so the integrand must be generic over those too (the regime integrands
 are).  The flag mask is the only way a batch reports a failure: an array
 operation flags a lane exactly where the one-cell :class:`Interval`
@@ -53,8 +66,10 @@ enclosure does not depend on the other lanes of its batch, so every
 accept/split decision, enclosure and cell count is the same as when each
 level is evaluated on its own.  What depends on reaching a cell waits
 until the walk reaches it: :class:`NonEvaluable` is raised only for a
-reached final cell, and jet evaluations and the depth-cap flag count only
-reached cells.
+reached final cell, and jet evaluations, alpha-limited cells and the
+depth-cap flag count only reached cells.  The walk carries each level's
+parent node-sum widths; siblings sit next to each other in every level
+below the root.
 
 :func:`adaptive_integrate` takes several disjoint domains and walks them
 together: a level is the cells of every domain, sorted by left end, so a
@@ -62,13 +77,14 @@ batch may hold cells of two domains and a level that would be small in each
 fills fewer, larger batches.  Each domain's accepted cells are still summed
 on their own from left to right, and the domain sums are added in the order
 the domains are given, so the enclosure is bit for bit the sum of one walk
-per domain, and the cells, jet evaluations and depth-cap flag are their
-totals.
+per domain, and the cells, jet evaluations, alpha-limited cells and
+depth-cap flag are their totals.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +94,14 @@ from .jets import Jet4
 
 __all__ = ["Tolerance", "QuadratureResult", "NonEvaluable", "gl2_enclosure", "adaptive_integrate"]
 
+# a cell is alpha-limited when its node sum is too wide and its node sum
+# and its sibling's add up to at least this share of their parent's node-sum
+# width: the width comes from a parameter interval, and halving the cell in
+# y no longer narrows it
+STALL = 0.5
+# an alpha-limited cell's GL2 sum is accepted once the remainder is no wider
+# than this share of its node-sum width
+REMAINDER_SHARE = 1 / 64
 # lanes a level of fewer cells may fill with the levels below it.  Cells
 # evaluated ahead of the walk are discarded below every accepted cell, so a
 # wider budget would evaluate more of them on point-alpha sets.
@@ -101,8 +125,11 @@ class Tolerance:
     max_depth: int = 13
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        # an infinite tolerance would accept every root cell, however wide
+        for name in ("abs_tol", "rel_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} {value} must be positive and finite")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 
@@ -118,6 +145,8 @@ class QuadratureResult:
     # and cells evaluated ahead of the walk that it never reached
     batches: int = 0
     discarded_cells: int = 0
+    # cells accepted by the alpha-limited stop, not by the tolerance or the cap
+    alpha_limited_cells: int = 0
 
 
 # The two kinds of cell evaluation.  A and B are the point intervals at the
@@ -191,26 +220,6 @@ def _evaluate(kind, f, lo, hi, where):
     return elo, ehi, ok
 
 
-def _chunk(f, lo, hi, final, tol):
-    """Enclose the cells [lo, hi] in one batch.
-
-    Returns per cell: the enclosure's endpoints, whether it exists, whether
-    it is too wide, and whether the jet was evaluated.
-    """
-    length = hi - lo
-
-    def too_wide(elo, ehi):
-        w = ehi - elo
-        return (w > tol.abs_tol) & (w > tol.rel_tol * length)
-
-    blo, bhi, body = _evaluate(_node_sum, f, lo, hi, np.ones(lo.size, bool))
-    want_jet = body & (final | ~too_wide(blo, bhi))
-    rlo, rhi, rem = _evaluate(_remainder, f, lo, hi, want_jet)
-    failed = ~rem  # the sum flags its overflowing lanes here too
-    gl2 = IntervalArray(blo, bhi, failed) + IntervalArray(rlo, rhi, failed)
-    return gl2.lo, gl2.hi, ~failed, too_wide(gl2.lo, gl2.hi), want_jet
-
-
 def _final(lo, hi, depth, tol):
     """Which cells of the level at ``depth`` cannot be split."""
     mid = 0.5 * (lo + hi)
@@ -223,15 +232,21 @@ def _halves(lo, hi):
     return np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
 
 
-def _evaluate_levels(f, lo, hi, depth, tol):
+def _evaluate_levels(f, lo, hi, depth, parent, tol):
     """Evaluate the level [lo, hi] at ``depth`` and, if it has fewer than
     :data:`CHUNK` cells, as many whole levels below it as fit in one batch
     with it, each the halves of every non-final cell of the level above.
     The lanes are cut into as few near-equal batches as :data:`WIDTH`
-    allows.
+    allows.  ``parent`` holds the node-sum widths of the level's parent
+    cells, or is None for the root cells.
 
-    Returns one record per level, ``(lo, hi, final)`` followed by the
-    :func:`_chunk` results, and the number of batches.
+    Every batch evaluates its node sums before any remainder: whether a
+    cell is alpha-limited, and so needs its jet, depends on its sibling's
+    and its parent's node sums, which another batch may hold.  Returns one
+    record per level, ``(lo, hi, final, node-sum width, enclosure lo,
+    enclosure hi, enclosure exists, too wide, jet evaluated, stop)``, and
+    the number of batches; ``stop`` marks the alpha-limited cells whose
+    remainder is narrow enough to accept their GL2 sum.
     """
     levels = [(lo, hi, _final(lo, hi, depth, tol))]
     lanes = lo.size
@@ -242,14 +257,38 @@ def _evaluate_levels(f, lo, hi, depth, tol):
             break
         levels.append((below_lo, below_hi, _final(below_lo, below_hi, depth + len(levels), tol)))
         lanes += below_lo.size
-    cells = [np.concatenate(a) for a in zip(*levels)]
+    lo, hi, final = (np.concatenate(a) for a in zip(*levels))
     count = -(-lanes // WIDTH)
     edges = [k * lanes // count for k in range(count + 1)]
-    chunks = [_chunk(f, *(a[s:e] for a in cells), tol) for s, e in zip(edges, edges[1:])]
-    results = [np.concatenate(a) for a in zip(*chunks)]
+
+    def batched(kind, where):
+        parts = [_evaluate(kind, f, lo[s:e], hi[s:e], where[s:e]) for s, e in zip(edges, edges[1:])]
+        return (np.concatenate(a) for a in zip(*parts))
+
+    length = hi - lo
+
+    def too_wide(w):
+        return (w > tol.abs_tol) & (w > tol.rel_tol * length)
+
+    blo, bhi, body = batched(_node_sum, np.ones(lanes, bool))
+    width = np.where(body, bhi - blo, np.nan)  # nan stalls nothing
     cuts = np.cumsum([level[0].size for level in levels])[:-1]
-    per_level = zip(*(np.split(a, cuts) for a in cells + results))
-    return list(per_level), len(chunks)
+    stalled = []
+    for w, (_, _, level_final) in zip(np.split(width, cuts), levels):
+        if parent is None:
+            stalled.append(np.zeros(w.size, bool))
+        else:
+            # siblings sit next to each other in every level below the root
+            stalled.append(np.repeat(w[0::2] + w[1::2], 2) >= STALL * parent)
+        parent = np.repeat(w[~level_final], 2)
+    limited = too_wide(width) & np.concatenate(stalled)
+    want_jet = body & (final | ~too_wide(width) | limited)
+    rlo, rhi, rem = batched(_remainder, want_jet)
+    failed = ~rem  # the sum flags its overflowing lanes here too
+    gl2 = IntervalArray(blo, bhi, failed) + IntervalArray(rlo, rhi, failed)
+    stop = limited & ~failed & (rhi - rlo <= REMAINDER_SHARE * width)
+    results = (lo, hi, final, width, gl2.lo, gl2.hi, ~failed, too_wide(gl2.hi - gl2.lo), want_jet, stop)
+    return list(zip(*(np.split(a, cuts) for a in results))), count
 
 
 def _sorted_domains(domains):
@@ -273,34 +312,37 @@ def adaptive_integrate(f, domains, tol=Tolerance()):
     sum of the domains' enclosures in the order given."""
     domains = [(float(a), float(b)) for a, b in domains]
     ordered = _sorted_domains(domains)
-    jets = batches = discarded = 0
+    jets = batches = discarded = limited = 0
     depth_hit = False
     accepted = []  # per level: (cell lo, enclosure lo, enclosure hi) of its accepted cells
     lo, hi = np.array([a for a, _ in ordered]), np.array([b for _, b in ordered])
+    parent = None  # the node-sum widths of the next level's parent cells
     ahead = []  # the evaluated levels the walk has not reached yet
     depth = 0
     with np.errstate(all="ignore"):
         while ahead or lo.size:
             if not ahead:
-                ahead, n = _evaluate_levels(f, lo, hi, depth, tol)
+                ahead, n = _evaluate_levels(f, lo, hi, depth, parent, tol)
                 batches += n
                 reached = np.ones(lo.size, bool)
-            lo, hi, final, elo, ehi, have, wide, want_jet = ahead.pop(0)
+            lo, hi, final, width, elo, ehi, have, wide, want_jet, stop = ahead.pop(0)
             discarded += lo.size - int(np.count_nonzero(reached))
             missing = reached & final & ~have
             if np.count_nonzero(missing):
                 i = int(np.argmax(missing))
                 raise NonEvaluable(f"integrand not evaluable on [{lo[i]}, {hi[i]}] at depth cap")
-            accept = reached & have & (final | ~wide)
+            accept = reached & have & (final | ~wide | stop)
             accepted.append((lo[accept], elo[accept], ehi[accept]))
             jets += int(np.count_nonzero(reached & want_jet))
-            depth_hit = depth_hit or bool(np.count_nonzero(accept & wide))
+            limited += int(np.count_nonzero(reached & stop))
+            depth_hit = depth_hit or bool(np.count_nonzero(accept & wide & ~stop))
             split = reached & ~accept
             if ahead:
                 # the level below holds the halves of every non-final cell
                 reached = np.repeat(split[~final], 2)
             else:
                 lo, hi = _halves(lo[split], hi[split])
+                parent = np.repeat(width[split], 2)
             depth += 1
     # each level's accepted cells run from left to right; merged by their
     # left ends, each domain's cells come in the order a depth-first walk
@@ -315,4 +357,4 @@ def adaptive_integrate(f, domains, tol=Tolerance()):
     for a, b in domains:
         total = total + sums[ordered.index((a, b))]
     cells = sum(run[0].size for run in accepted)
-    return QuadratureResult(total, cells, depth_hit, jets, batches, discarded)
+    return QuadratureResult(total, cells, depth_hit, jets, batches, discarded, limited)

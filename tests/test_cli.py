@@ -109,12 +109,14 @@ def test_prove_convexity_vortex(tmp_path, capsys):
     assert row["cells"] > 0 and row["jet_evaluations"] >= row["cells"]
     assert row["max_depth_hit"] is False
     assert row["batches"] > 0 and row["discarded_cells"] >= 0
+    assert row["alpha_limited_cells"] == 0
     assert work["total"] == {
         "cells": row["cells"],
         "jet_evaluations": row["jet_evaluations"],
         "max_depth_hit_sets": 0,
         "batches": row["batches"],
         "discarded_cells": row["discarded_cells"],
+        "alpha_limited_cells": 0,
     }
 
 
@@ -140,6 +142,8 @@ def test_prove_convexity_requires_alpha(tmp_path):
         ["--alpha", "0:0", "--split-threshold", "nan"],
         ["--alpha", "0:0", "--split-threshold", "0"],
         ["--alpha", "0:0", "--split-threshold", "-1"],
+        ["--alpha", "0:0", "--abs-tol", "inf"],
+        ["--alpha", "0:0", "--rel-tol", "inf"],
     ],
 )
 def test_prove_convexity_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):

@@ -11,6 +11,7 @@ from lanes import assert_lanes_match, bits, lanes, single
 
 from alphapatch.interval import (
     Interval,
+    IntervalArray,
     IntervalError,
     DivisionByZeroInterval,
     DomainViolation,
@@ -345,3 +346,14 @@ def test_array_error_mask_sticks():
     Y = lanes([Interval(-2.0, -1.0), Interval(1.0, 2.0)])
     assert (Y.log() * 0.0).is_zero()
     assert Y.err.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("name", ["half", "hull", "mid", "mag", "mig", "is_subset", "__eq__"])
+def test_array_rejects_one_answer_methods(name):
+    """Methods that would need one answer for all lanes raise a TypeError
+    naming the method, instead of returning a plain Interval without the
+    flag mask (half) or failing on a numpy truth value."""
+    X = IntervalArray(np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.zeros(2, bool))
+    args = (X,) if name in ("hull", "is_subset", "__eq__") else ()
+    with pytest.raises(TypeError, match=name):
+        getattr(X, name)(*args)

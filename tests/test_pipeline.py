@@ -145,6 +145,7 @@ def _row_bits(v):
         v.max_depth_hit,
         v.batches,
         v.discarded_cells,
+        v.alpha_limited_cells,
     )
 
 
@@ -199,7 +200,8 @@ def test_run_queue_rejects_uncovered_alpha_before_work(monkeypatch, lo, hi):
 # process() per ParameterSet, as first certified with one quadrature walk per
 # y-half: enclosure endpoints (float.hex), cells, jet evaluations and the
 # depth-cap flag.  The six point sets of the prove-point benchmark and the
-# two alpha bands of the prove-band benchmark
+# two alpha bands of the prove-band benchmark; the bands' rows are those of
+# the alpha-limited stop, which no point set meets
 _PROCESS_BITS = {
     (0.15, 0.0, 0.0): ("-0x1.493bbf915a444p-5", "-0x1.48ccaa6f18cf0p-5", 311, 620, False),
     (0.15, 0.02, 0.02): ("-0x1.6b2d93549c584p-6", "-0x1.69f940cd12514p-6", 413, 824, False),
@@ -207,8 +209,8 @@ _PROCESS_BITS = {
     (0.15, 1.96, 1.96): ("0x1.ca4800c22a134p+3", "0x1.ca4939313e924p+3", 571, 1140, False),
     (0.45, 0.0, 0.0): ("-0x1.d0cfb79366fd4p-4", "-0x1.d099e2cf504c0p-4", 319, 636, False),
     (0.45, 1.0, 1.0): ("0x1.c895e567427e8p+1", "0x1.c8986326e158cp+1", 491, 980, False),
-    (0.15, 1.0, 1.0001): ("0x1.31a25e7be8f7cp+0", "0x1.34a845b429b44p+0", 4633, 4667, True),
-    (0.15, 0.02, 0.0201): ("-0x1.8cded20893844p-6", "-0x1.46c233b112bd4p-6", 3684, 3718, True),
+    (0.15, 1.0, 1.0001): ("0x1.31a0c7ae459d4p+0", "0x1.34a9dc43154c4p+0", 561, 1114, False),
+    (0.15, 0.02, 0.0201): ("-0x1.8d054ac8c7144p-6", "-0x1.469bb7a05d614p-6", 522, 1036, False),
 }
 
 
@@ -220,3 +222,14 @@ def test_process_frozen_bits(key):
     v = process(ParameterSet.for_phase(lo, hi, c))
     got = (v.enclosure.lo.hex(), v.enclosure.hi.hex(), v.cells, v.jet_evaluations, v.max_depth_hit)
     assert got == _PROCESS_BITS[key]
+    assert (v.alpha_limited_cells > 0) == (lo < hi)
+
+
+def test_alpha_slice_stops_refining_y():
+    """A 0.01-wide alpha slice, the --full-sweep default: the alpha-limited
+    stop accepts its cells long before the depth cap (16,056 cells at the
+    cap without it)."""
+    v = process(ParameterSet.for_phase(1.0, 1.01, 0.15))
+    assert v.outcome == SignOutcome.ALL_POSITIVE
+    assert v.cells <= 1000
+    assert v.alpha_limited_cells > 0

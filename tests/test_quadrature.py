@@ -1,6 +1,7 @@
 import math
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,16 +77,30 @@ def test_refinement_monotonicity():
 
 
 def test_depth_cap_accepts_wide_cells():
-    # a parameter-interval constant integrand can never meet the tolerance;
-    # the depth cap must accept rather than loop
+    # the remainder of sin(50x) keeps every cell of [0, 1] too wide down to
+    # depth 5 while the node sums stay narrow; the depth cap must accept
+    # rather than loop
+    f = lambda x: (x * 50.0).sin()
+    res = adaptive_integrate(f, [(0.0, 1.0)], Tolerance(1e-9, 1e-9, 5))
+    assert res.max_depth_hit
+    assert res.subinterval_count == 2**5
+    assert res.alpha_limited_cells == 0
+    assert res.enclosure.lo <= (1 - math.cos(50.0)) / 50.0 <= res.enclosure.hi
+
+
+def test_alpha_limited_constant_band_stops_at_depth_one():
+    """A parameter-interval constant never meets the tolerance, and halving
+    its cells never narrows the node sums they add up to.  Both halves of
+    [0, 1] are alpha-limited, and their remainder is zero, so they are
+    accepted at depth 1 without reaching the cap."""
     wide = Interval(1.0, 1.1)
 
     def f(jet):
         return jet * 0.0 + wide
 
-    res = adaptive_integrate(f, [(0.0, 1.0)], Tolerance(1e-9, 1e-9, 5))
-    assert res.max_depth_hit
-    assert res.subinterval_count == 2**5
+    res = _assert_same_as_reference(f, 0.0, 1.0, Tolerance(1e-9, 1e-9, 5))
+    assert (res.subinterval_count, res.alpha_limited_cells, res.jet_evaluations) == (2, 2, 2)
+    assert not res.max_depth_hit
     assert res.enclosure.lo <= 1.0 <= 1.1 <= res.enclosure.hi
 
 
@@ -113,47 +128,64 @@ def _try(evaluation, *args):
 def _reference_integrate(f, a, b, tol):
     """The adaptive loop, depth first on single intervals, with the full GL2
     enclosure, jet included, evaluated on every cell: (enclosure, cells,
-    depth cap hit, jet evaluations, levels).  The jet evaluations are those
-    a walk that splits hopeless cells without their jet makes: on every cell
-    with a node sum, unless the cell is splittable and its node sum too
-    wide.  The levels are one more than the deepest cell visited."""
-    total, count, depth_hit, jets, deepest = ZERO, 0, False, 0, 0
-    stack = [(a, b, 0)]
+    depth cap hit, jet evaluations, alpha-limited cells, levels).
+
+    A cell below the root is alpha-limited when its node sum is too wide
+    and its node sum and its sibling's add up to at least STALL of their
+    parent's node-sum width; it is accepted once its remainder is no wider
+    than REMAINDER_SHARE of its node-sum width.  The jet evaluations are
+    those a walk that splits other hopeless cells without their jet makes:
+    on every cell with a node sum, unless the cell is splittable, its node
+    sum too wide and the cell not alpha-limited.  The levels are one more
+    than the deepest cell visited."""
+
+    def node_width(lo, hi):
+        body = _try(quadrature._node_sum, f, *quadrature._cell(lo, hi))
+        return math.nan if body is None else body.width()
+
+    total, count, depth_hit, jets, limited, deepest = ZERO, 0, False, 0, 0, 0
+    stack = [(a, b, 0, math.nan, math.nan)]  # cell, depth, parent's and pair's node-sum widths
     while stack:
-        lo, hi, depth = stack.pop()
+        lo, hi, depth, parent, pair = stack.pop()
         deepest = max(deepest, depth)
         enc = _try(gl2_enclosure, f, lo, hi)
         mid = 0.5 * (lo + hi)
         final = depth >= tol.max_depth or not lo < mid < hi
 
-        def too_wide(e):
-            return e.width() > tol.abs_tol and e.width() > tol.rel_tol * (hi - lo)
+        def too_wide(w):
+            return w > tol.abs_tol and w > tol.rel_tol * (hi - lo)
 
-        body = _try(quadrature._node_sum, f, *quadrature._cell(lo, hi))
-        if body is not None and (final or not too_wide(body)):
+        width = node_width(lo, hi)
+        alpha_limited = too_wide(width) and pair >= quadrature.STALL * parent
+        if not math.isnan(width) and (final or not too_wide(width) or alpha_limited):
             jets += 1
-        wide = enc is not None and too_wide(enc)
-        if enc is not None and (final or not wide):
-            depth_hit = depth_hit or wide
+        remainder = _try(quadrature._remainder, f, *quadrature._cell(lo, hi))
+        stop = alpha_limited and enc is not None and remainder.width() <= quadrature.REMAINDER_SHARE * width
+        wide = enc is not None and too_wide(enc.width())
+        if enc is not None and (final or not wide or stop):
+            limited += stop
+            depth_hit = depth_hit or (wide and not stop)
             total = total + enc
             count += 1
             continue
         if final:
             raise NonEvaluable(f"integrand not evaluable on [{lo}, {hi}] at depth cap")
-        stack.append((mid, hi, depth + 1))
-        stack.append((lo, mid, depth + 1))
-    return total, count, depth_hit, jets, deepest + 1
+        halves = node_width(lo, mid) + node_width(mid, hi)
+        stack.append((mid, hi, depth + 1, width, halves))
+        stack.append((lo, mid, depth + 1, width, halves))
+    return total, count, depth_hit, jets, limited, deepest + 1
 
 
 def _assert_same_as_reference(f, a, b, tol):
     """The walk gives the reference's enclosure bits, cells, jet
-    evaluations and depth-cap flag."""
+    evaluations, alpha-limited cells and depth-cap flag."""
     res = adaptive_integrate(f, [(a, b)], tol)
-    enc, count, depth_hit, jets, _ = _reference_integrate(f, a, b, tol)
+    enc, count, depth_hit, jets, limited, _ = _reference_integrate(f, a, b, tol)
     assert _hex(res.enclosure) == _hex(enc)
     assert res.subinterval_count == count
     assert res.max_depth_hit == depth_hit
     assert res.jet_evaluations == jets
+    assert res.alpha_limited_cells == limited
     return res
 
 
@@ -164,7 +196,7 @@ def _hex(iv):
 def _assert_walks_add_up(f, domains, tol):
     """One walk over ``domains`` equals the one-domain walks bit for bit:
     their enclosures added in the order given, and their cells, jet
-    evaluations and depth-cap flags in total."""
+    evaluations, alpha-limited cells and depth-cap flags in total."""
     res = adaptive_integrate(f, domains, tol)
     singles = [adaptive_integrate(f, [d], tol) for d in domains]
     total = ZERO
@@ -173,6 +205,7 @@ def _assert_walks_add_up(f, domains, tol):
     assert _hex(res.enclosure) == _hex(total)
     assert res.subinterval_count == sum(one.subinterval_count for one in singles)
     assert res.jet_evaluations == sum(one.jet_evaluations for one in singles)
+    assert res.alpha_limited_cells == sum(one.alpha_limited_cells for one in singles)
     assert res.max_depth_hit == any(one.max_depth_hit for one in singles)
 
 
@@ -230,60 +263,71 @@ def test_pruning_matches_full_evaluation_closed_forms():
 
 
 def test_pruning_matches_full_evaluation_alpha_limited():
-    """An alpha band 1e-3 wide keeps every cell too wide: all are split down
-    to the depth cap.  Of the 2**8 - 1 cells visited, the jet is evaluated
-    on the 2**7 at the cap and on the one cell next to the window whose node
-    sum alone is narrow enough."""
+    """An alpha band 1e-3 wide keeps every node sum too wide, and halving a
+    cell leaves its halves' node sums about as wide as its own: every cell
+    below the root is alpha-limited.  Far from the window a cell's remainder
+    soon drops below 1/64 of its node sum and the cell is accepted before
+    the depth cap; near the window the cells still reach it.  The counts
+    are the depth-first reference's."""
     f, halves, tol = _alpha_band_halves()
+    counts = []
     for a, b in halves:
         res = _assert_same_as_reference(f, a, b, tol)
         assert res.max_depth_hit
-        assert res.subinterval_count == 2**7
-        assert res.jet_evaluations == 2**7 + 1
+        counts.append((res.subinterval_count, res.alpha_limited_cells, res.jet_evaluations))
+    assert counts == [(76, 44, 148), (75, 43, 146)]
     # both halves in one walk, as process() integrates them: every level
     # batches cells from both sides of the window
     _assert_walks_add_up(f, halves, tol)
 
 
+def _remainder_limited():
+    """sin(50x) at a tolerance its remainder meets at no depth up to 10 on
+    cells of [0, 4]: every cell is split to the cap, and its node sums stay
+    narrow, so none is alpha-limited."""
+    return lambda x: (x * 50.0).sin(), Tolerance(1e-12, 1e-12, 10)
+
+
 def test_level_wider_than_one_chunk():
-    """An alpha-like parameter band keeps every cell too wide, so level 10
+    """A remainder-limited integrand keeps every cell too wide, so level 10
     holds 1024 cells, two full batches."""
-    band = Interval(1.0, 1.001)
-    tol = Tolerance(1e-9, 1e-9, 10)
-    res = _assert_same_as_reference(lambda x: (x * band).sin(), 0.0, 4.0, tol)
+    f, tol = _remainder_limited()
+    res = _assert_same_as_reference(f, 0.0, 4.0, tol)
     assert res.subinterval_count == 2**10 > quadrature.WIDTH
-    assert res.max_depth_hit
+    assert res.max_depth_hit and res.alpha_limited_cells == 0
 
 
 def test_wide_levels_run_in_near_equal_batches(monkeypatch):
     """A level of n cells wider than CHUNK runs in ceil(n / WIDTH) batches
-    whose sizes differ by at most one.  Five domains under an alpha-like
-    band keep every cell too wide, so level k holds 5 * 2**k cells: levels
-    0-4 (155 cells) share one batch, level 5 (160) has its own since level 6
-    would not fit in CHUNK, and levels 6-8 (320, 640 and 1280 cells) run in
-    1, 2 and 3 batches.  The enclosure is the references' sum bit for bit."""
+    whose sizes differ by at most one.  Five domains under a
+    remainder-limited integrand keep every cell too wide, so level k holds
+    5 * 2**k cells: levels 0-4 (155 cells) share one batch, level 5 (160)
+    has its own since level 6 would not fit in CHUNK, and levels 6-8 (320,
+    640 and 1280 cells) run in 1, 2 and 3 batches.  The enclosure is the
+    references' sum bit for bit."""
     sizes = []
-    chunk = quadrature._chunk
+    evaluate = quadrature._evaluate
 
-    def counting(f, lo, *rest):
-        sizes.append(lo.size)
-        return chunk(f, lo, *rest)
+    def counting(kind, f, lo, *rest):
+        if kind is quadrature._node_sum:
+            sizes.append(lo.size)
+        return evaluate(kind, f, lo, *rest)
 
-    monkeypatch.setattr(quadrature, "_chunk", counting)
-    band = Interval(1.0, 1.001)
-    f = lambda x: (x * band).sin()
+    monkeypatch.setattr(quadrature, "_evaluate", counting)
+    f, tol = _remainder_limited()
+    tol = replace(tol, max_depth=8)
     domains = [(float(k), k + 0.75) for k in (3, -1, 1, 0, 2)]
-    tol = Tolerance(1e-9, 1e-9, 8)
     res = adaptive_integrate(f, domains, tol)
     assert sizes == [155, 160, 320, 320, 320, 426, 427, 427]
     assert res.batches == len(sizes)
     total, cells, jets = ZERO, 0, 0
     for a, b in domains:
-        enc, count, depth_hit, jet_count, _ = _reference_integrate(f, a, b, tol)
+        enc, count, depth_hit, jet_count, _, _ = _reference_integrate(f, a, b, tol)
         total, cells, jets = total + enc, cells + count, jets + jet_count
         assert depth_hit
     assert _hex(res.enclosure) == _hex(total)
-    assert (res.subinterval_count, res.jet_evaluations) == (cells, jets) == (5 * 2**8, 5 * 2**8)
+    # every cell visited has a narrow node sum, and so its jet evaluated
+    assert (res.subinterval_count, res.jet_evaluations) == (cells, jets) == (5 * 2**8, 5 * (2**9 - 1))
     assert res.max_depth_hit
 
 
@@ -381,7 +425,7 @@ def test_point_alpha_walk_batches_fewer_than_levels(monkeypatch):
     v = pipeline.process(ps)
     (f,) = plain
     halves = [(pipeline.WINDOW_HALF, math.pi), (-math.pi, -pipeline.WINDOW_HALF)]
-    levels = max(_reference_integrate(f, a, b, ps.tol)[4] for a, b in halves)
+    levels = max(_reference_integrate(f, a, b, ps.tol)[-1] for a, b in halves)
     assert len(node_calls) == v.batches < levels
 
 
