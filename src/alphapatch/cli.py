@@ -207,27 +207,28 @@ def _quadrature_work(rows):
     evaluations, whether the depth cap was hit, batches of lanes, cells
     evaluated ahead of the walk but never reached, and cells accepted by the
     alpha-limited stop (for the manifest)."""
+    quads = [v.quadrature for v in rows]
     sets = [
         {
             "c_phase": v.ps.c_phase.mid(),
             "alpha_lo": v.ps.alpha.lo,
             "alpha_hi": v.ps.alpha.hi,
-            "cells": v.cells,
-            "jet_evaluations": v.jet_evaluations,
-            "max_depth_hit": v.max_depth_hit,
-            "batches": v.batches,
-            "discarded_cells": v.discarded_cells,
-            "alpha_limited_cells": v.alpha_limited_cells,
+            "cells": q.subinterval_count,
+            "jet_evaluations": q.jet_evaluations,
+            "max_depth_hit": q.max_depth_hit,
+            "batches": q.batches,
+            "discarded_cells": q.discarded_cells,
+            "alpha_limited_cells": q.alpha_limited_cells,
         }
-        for v in rows
+        for v, q in zip(rows, quads)
     ]
     total = {
-        "cells": sum(v.cells for v in rows),
-        "jet_evaluations": sum(v.jet_evaluations for v in rows),
-        "max_depth_hit_sets": sum(v.max_depth_hit for v in rows),
-        "batches": sum(v.batches for v in rows),
-        "discarded_cells": sum(v.discarded_cells for v in rows),
-        "alpha_limited_cells": sum(v.alpha_limited_cells for v in rows),
+        "cells": sum(q.subinterval_count for q in quads),
+        "jet_evaluations": sum(q.jet_evaluations for q in quads),
+        "max_depth_hit_sets": sum(q.max_depth_hit for q in quads),
+        "batches": sum(q.batches for q in quads),
+        "discarded_cells": sum(q.discarded_cells for q in quads),
+        "alpha_limited_cells": sum(q.alpha_limited_cells for q in quads),
     }
     return {"sets": sets, "total": total}
 
@@ -297,8 +298,6 @@ def cmd_prove_convexity(args):
 # config keys passed through to SimConfig, defaulting to its own defaults
 _SOLVER_KEYS = (
     "jump",
-    "filter_strength",
-    "filter_order",
     "rk_abs_tol",
     "rk_rel_tol",
     "t_final",
@@ -387,12 +386,11 @@ def cmd_simulate(args):
         return 2
     os.makedirs(args.out_dir, exist_ok=True)
     halted = None
-    reached = []
+    snapshots = []  # every snapshot reached, also when the run halts early
     try:
-        snapshots = sim.evolve(state, cfg, on_snapshot=reached.append)
+        sim.evolve(state, cfg, on_snapshot=snapshots.append)
     except (sim.ArcChordCollapse, sim.StepSizeUnderflow) as exc:
         halted = exc
-        snapshots = reached
     diags = [sim.diagnostics(s) for s in snapshots]
     snap_path = os.path.join(args.out_dir, "snapshots.csv")
     diag_path = os.path.join(args.out_dir, "diagnostics.csv")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 from .interval import Interval, SignOutcome, PI
 from .curves import ZONE_LEFT, ZONE_RIGHT, Bump, lemma_poly
-from .quadrature import Tolerance, adaptive_integrate
+from .quadrature import QuadratureResult, Tolerance, adaptive_integrate
 from .signcheck import DEFAULT_MIN_WIDTH, SignTask, validate_sign
 from .integrands import (
     ALPHA_CR,
@@ -84,16 +84,14 @@ class RegionVerdict:
     outcome: SignOutcome
     enclosure: Interval
     regime: Regime
-    # quadrature work over both halves: accepted cells, order-4 jet
-    # evaluations, whether either half accepted a cell at the depth cap,
-    # batches of lanes, cells evaluated ahead of the walk but never reached,
-    # and cells accepted by the alpha-limited stop
-    cells: int = 0
-    jet_evaluations: int = 0
-    max_depth_hit: bool = False
-    batches: int = 0
-    discarded_cells: int = 0
-    alpha_limited_cells: int = 0
+    # the quadrature over both halves, with its work counters
+    quadrature: QuadratureResult | None = None
+
+    # the counters most read, by their names in the region manifest
+    cells = property(lambda self: self.quadrature.subinterval_count)
+    jet_evaluations = property(lambda self: self.quadrature.jet_evaluations)
+    max_depth_hit = property(lambda self: self.quadrature.max_depth_hit)
+    alpha_limited_cells = property(lambda self: self.quadrature.alpha_limited_cells)
 
     def row(self):
         return [
@@ -154,7 +152,7 @@ def zone_fact_tasks(min_width=DEFAULT_MIN_WIDTH):
 _zone_facts_ok = False
 
 
-def ensure_zone_facts(min_width=DEFAULT_MIN_WIDTH):
+def ensure_zone_facts():
     """Certify the d_1..d_6 zone signs that legitimize hull enclosures.
 
     The polynomials do not involve the phase constant, so one certification
@@ -163,7 +161,7 @@ def ensure_zone_facts(min_width=DEFAULT_MIN_WIDTH):
     global _zone_facts_ok
     if _zone_facts_ok:
         return
-    for name, task in zone_fact_tasks(min_width):
+    for name, task in zone_fact_tasks():
         res = validate_sign(task)
         if res.outcome != task.expected:
             raise ZoneFactsFailed(f"{name}: got {res.outcome}")
@@ -204,18 +202,7 @@ def process(ps):
         outcome = SignOutcome.ALL_NEGATIVE
     else:
         outcome = SignOutcome.INDETERMINATE
-    return RegionVerdict(
-        ps,
-        outcome,
-        total,
-        regime,
-        cells=quad.subinterval_count,
-        jet_evaluations=quad.jet_evaluations,
-        max_depth_hit=quad.max_depth_hit,
-        batches=quad.batches,
-        discarded_cells=quad.discarded_cells,
-        alpha_limited_cells=quad.alpha_limited_cells,
-    )
+    return RegionVerdict(ps, outcome, total, regime, quad)
 
 
 def _split_alpha(ps):

@@ -52,14 +52,14 @@ are summed from left to right, the order a depth-first walk accepts them
 in, so the total is the same bit for bit as well.
 
 A batch costs nearly as much for a few lanes as for a few hundred, so
-batches are made few and full.  A level of n > :data:`CHUNK` cells is cut
-into ceil(n / :data:`WIDTH`) batches whose sizes differ by at most one, not
-into full batches and a ragged tail.  A level of fewer than :data:`CHUNK`
-cells is evaluated in one batch with the levels below it, as many whole
-levels as fit in :data:`CHUNK` lanes: the halves of every non-final cell,
-their halves, and so on.  The walk still decides on one
-level at a time from these stored results.  After each level it keeps of
-the level below the halves of the cells it split
+batches are made few and full, with one lane budget, :data:`WIDTH`.  A
+level of n > :data:`WIDTH` cells is cut into ceil(n / :data:`WIDTH`)
+batches whose sizes differ by at most one, not into full batches and a
+ragged tail.  A narrower level is evaluated in one batch with the levels
+below it, as many whole levels as fit in :data:`WIDTH` lanes: the halves
+of every non-final cell, their halves, and so on.  The walk still decides
+on one level at a time from these stored results.  After each level it
+keeps of the level below the halves of the cells it split
 (``np.repeat(split[~final], 2)``) and drops the rest, the descendants of
 accepted cells; the cells dropped are counted as discarded.  A lane's
 enclosure does not depend on the other lanes of its batch, so every
@@ -102,15 +102,11 @@ STALL = 0.5
 # an alpha-limited cell's GL2 sum is accepted once the remainder is no wider
 # than this share of its node-sum width
 REMAINDER_SHARE = 1 / 64
-# lanes a level of fewer cells may fill with the levels below it.  Cells
-# evaluated ahead of the walk are discarded below every accepted cell, so a
-# wider budget would evaluate more of them on point-alpha sets.
-CHUNK = 256
-# lanes of the widest batch: a wider level is cut into ceil(n / WIDTH)
-# batches whose sizes differ by at most one.  A jet batch keeps a few
-# hundred arrays of this length alive at once; the tracemalloc peak of one
-# small-alpha jet batch is 0.42 MiB at 256 lanes, 0.82 MiB at 512 and
-# 1.60 MiB at 1024.
+# lanes of the widest batch: a narrower level fills it with the levels
+# below it, and a wider level is cut into ceil(n / WIDTH) batches whose
+# sizes differ by at most one.  A jet batch keeps a few hundred arrays of
+# this length alive at once; the tracemalloc peak of one small-alpha jet
+# batch is 0.42 MiB at 256 lanes, 0.82 MiB at 512 and 1.60 MiB at 1024.
 WIDTH = 512
 
 
@@ -233,12 +229,12 @@ def _halves(lo, hi):
 
 
 def _evaluate_levels(f, lo, hi, depth, parent, tol):
-    """Evaluate the level [lo, hi] at ``depth`` and, if it has fewer than
-    :data:`CHUNK` cells, as many whole levels below it as fit in one batch
-    with it, each the halves of every non-final cell of the level above.
-    The lanes are cut into as few near-equal batches as :data:`WIDTH`
-    allows.  ``parent`` holds the node-sum widths of the level's parent
-    cells, or is None for the root cells.
+    """Evaluate the level [lo, hi] at ``depth`` and as many whole levels
+    below it as fit in :data:`WIDTH` lanes with it, each the halves of every
+    non-final cell of the level above.  A level wider than :data:`WIDTH` is
+    cut into as few near-equal batches as :data:`WIDTH` allows.  ``parent``
+    holds the node-sum widths of the level's parent cells, or is None for
+    the root cells.
 
     Every batch evaluates its node sums before any remainder: whether a
     cell is alpha-limited, and so needs its jet, depends on its sibling's
@@ -250,10 +246,10 @@ def _evaluate_levels(f, lo, hi, depth, parent, tol):
     """
     levels = [(lo, hi, _final(lo, hi, depth, tol))]
     lanes = lo.size
-    while lanes < CHUNK:
+    while lanes < WIDTH:
         above_lo, above_hi, above_final = levels[-1]
         below_lo, below_hi = _halves(above_lo[~above_final], above_hi[~above_final])
-        if not below_lo.size or lanes + below_lo.size > CHUNK:
+        if not below_lo.size or lanes + below_lo.size > WIDTH:
             break
         levels.append((below_lo, below_hi, _final(below_lo, below_hi, depth + len(levels), tol)))
         lanes += below_lo.size

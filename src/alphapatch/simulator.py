@@ -56,6 +56,10 @@ MIN_STEP = 1e-12
 # stays below this are zeroed after each accepted step, which keeps the
 # grid-scale instability of the singular kernel from feeding on roundoff
 NOISE_FLOOR = 1e-13
+# machine-epsilon exponential filter exp(-strength (k / (N/2))^order) on
+# every derivative, as (strength, order): damps the Nyquist mode to ~2e-16
+# while leaving resolved modes essentially untouched
+FILTER = (36.0, 36)
 # rows per block of the O(N^2) pair work: each block lives in two (ROWS, N)
 # buffers, 1 MiB at N = 512, and is reduced before the next is filled
 ROWS = 128
@@ -79,10 +83,6 @@ class StepSizeUnderflow(RuntimeError):
 class SimConfig:
     alpha: float
     jump: float = -TWO_PI  # theta_2 - theta_1; negative jump gives c_alpha > 0
-    # machine-epsilon exponential filter: damps the Nyquist mode to ~2e-16
-    # while leaving resolved modes essentially untouched
-    filter_strength: float = 36.0
-    filter_order: int = 36
     rk_abs_tol: float = 1e-8
     rk_rel_tol: float = 1e-8
     t_final: float = 10.0
@@ -96,8 +96,6 @@ class SimConfig:
             raise ValueError(f"jump {self.jump} must be finite")
         if not (self.rk_abs_tol > 0 and self.rk_rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not (self.filter_strength > 0 and self.filter_order > 0):
-            raise ValueError("filter parameters must be positive")
         if not (0 < self.t_final < math.inf and self.snapshot_interval > 0):
             raise ValueError("t_final must be finite and positive, and snapshot_interval positive")
         if not (0.0 < self.arc_chord_factor < 1.0):
@@ -275,7 +273,7 @@ def velocity(state, cfg):
     n = state.n
     h = TWO_PI / n
     orders = (1, 2, 3) if cfg.alpha == 0.0 else (1, 2, 3, 4, 5)
-    derivs = _derivatives(z, orders, (cfg.filter_strength, cfg.filter_order))
+    derivs = _derivatives(z, orders, FILTER)
     zx, zxx, zxxx = derivs[:3]
     const = alpha_patch_constant(cfg.alpha, cfg.jump)
     speed2_arr = np.einsum("ik,ik->i", zx, zx)
@@ -448,15 +446,23 @@ def evolve(state, cfg, on_snapshot=None):
     The 4th-order solution is propagated; the 4/5 difference drives the
     step controller.  Halts with :class:`ArcChordCollapse` when the
     arc-chord ratio drops below arc_chord_factor times its initial value,
-    or :class:`StepSizeUnderflow` when the controller stalls.
+    or :class:`StepSizeUnderflow` when the controller stalls.  Every
+    snapshot, the last one at t_final included, is also passed to
+    ``on_snapshot`` when it is taken, so a caller keeps those taken before
+    a halt.
     """
     state = state.copy()
     state.points = _noise_floor_filter(state.points)
     initial_ratio = arc_chord_min(state)
     threshold = cfg.arc_chord_factor * initial_ratio
-    snapshots = [state.copy()]
-    if on_snapshot is not None:
-        on_snapshot(state)
+    snapshots = []
+
+    def emit(snap):
+        snapshots.append(snap)
+        if on_snapshot is not None:
+            on_snapshot(snap)
+
+    emit(state.copy())
 
     def rhs(points, t):
         return velocity(SimState(points, t), cfg)
@@ -477,17 +483,14 @@ def evolve(state, cfg, on_snapshot=None):
             if ratio < threshold:
                 raise ArcChordCollapse(t, ratio)
             if next_snap - 1e-12 <= t:
-                snap = SimState(z.copy(), t)
-                snapshots.append(snap)
-                if on_snapshot is not None:
-                    on_snapshot(snap)
+                emit(SimState(z.copy(), t))
                 next_snap += cfg.snapshot_interval
         factor = 0.9 * (1.0 / max(err, 1e-12)) ** 0.2
         dt *= min(5.0, max(0.2, factor))
         if dt < MIN_STEP:
             raise StepSizeUnderflow(t, dt)
     if snapshots[-1].time < t - 1e-12:
-        snapshots.append(SimState(z.copy(), t))
+        emit(SimState(z.copy(), t))
     return snapshots
 
 

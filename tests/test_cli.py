@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -76,6 +77,24 @@ def test_prove_rotation_single_pair(tmp_path, capsys):
     rows = (tmp_path / "rotation_certificates.csv").read_text().strip().splitlines()
     assert rows[0] == "alpha,axis_ratio,outcome,interior_subintervals"
     assert rows[1].startswith("1.0,0.5,positive")
+
+
+# sha256 of the certificate file of each default certificate run
+_CERTIFICATE_DIGESTS = {
+    "prove-lemma": ("lemma_certificates.csv", "e57f852621f6a706573bc2191c4296c0343e398e1d4f16334e1b42ad48a1e98e"),
+    "prove-rotation": (
+        "rotation_certificates.csv",
+        "1c24c1abd70ed5da24212f6c0c7c9d0c09e363b5e51173952891d6cdf8cecb20",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_CERTIFICATE_DIGESTS))
+def test_certificate_csv_bytes(tmp_path, capsys, command):
+    """The default lemma and rotation runs write these bytes exactly."""
+    name, digest = _CERTIFICATE_DIGESTS[command]
+    assert main([command, "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_prove_rotation_rejects_bad_alpha(tmp_path, capsys):
@@ -210,6 +229,7 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
         ["--set", "shape=circle", "--set", "radius=nan"],
         ["--set", "shape=bump", "--set", "c_phase=nan"],
         ["--set", "t_final=inf"],
+        ["--set", "filter_order=8"],
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, monkeypatch, config):

@@ -140,12 +140,7 @@ def _row_bits(v):
         v.outcome,
         v.enclosure.lo.hex(),
         v.enclosure.hi.hex(),
-        v.cells,
-        v.jet_evaluations,
-        v.max_depth_hit,
-        v.batches,
-        v.discarded_cells,
-        v.alpha_limited_cells,
+        v.quadrature,
     )
 
 

@@ -225,17 +225,16 @@ def test_multi_domain_walk_adds_up_closed_forms():
             _assert_walks_add_up(fn, domains, tol)
 
 
-def _small_batches(monkeypatch, chunk, width):
-    """Shrink the speculation budget to ``chunk`` lanes and the widest batch
-    to ``width`` lanes, so that levels are cut at odd places."""
-    monkeypatch.setattr(quadrature, "CHUNK", chunk)
+def _small_batches(monkeypatch, width):
+    """Shrink the lane budget of a batch to ``width``, so that levels are
+    cut at odd places."""
     monkeypatch.setattr(quadrature, "WIDTH", width)
 
 
 def test_multi_domain_chunks_straddle_domains(monkeypatch):
     """Batches of three cells put cells of two domains into one batch on
     every level that holds cells of both."""
-    _small_batches(monkeypatch, 3, 3)
+    _small_batches(monkeypatch, 3)
     for _, fn, a, b, _ in CASES[::3]:
         for domains in _domain_splits(a, b):
             _assert_walks_add_up(fn, domains, Tolerance(1e-6, 1e-6, 13))
@@ -298,12 +297,12 @@ def test_level_wider_than_one_chunk():
 
 
 def test_wide_levels_run_in_near_equal_batches(monkeypatch):
-    """A level of n cells wider than CHUNK runs in ceil(n / WIDTH) batches
+    """A level of n cells wider than WIDTH runs in ceil(n / WIDTH) batches
     whose sizes differ by at most one.  Five domains under a
     remainder-limited integrand keep every cell too wide, so level k holds
-    5 * 2**k cells: levels 0-4 (155 cells) share one batch, level 5 (160)
-    has its own since level 6 would not fit in CHUNK, and levels 6-8 (320,
-    640 and 1280 cells) run in 1, 2 and 3 batches.  The enclosure is the
+    5 * 2**k cells: levels 0-5 (315 cells) share one batch, level 6 (320)
+    has its own since level 7 would not fit with it, and levels 7 and 8
+    (640 and 1280 cells) run in 2 and 3 batches.  The enclosure is the
     references' sum bit for bit."""
     sizes = []
     evaluate = quadrature._evaluate
@@ -318,7 +317,7 @@ def test_wide_levels_run_in_near_equal_batches(monkeypatch):
     tol = replace(tol, max_depth=8)
     domains = [(float(k), k + 0.75) for k in (3, -1, 1, 0, 2)]
     res = adaptive_integrate(f, domains, tol)
-    assert sizes == [155, 160, 320, 320, 320, 426, 427, 427]
+    assert sizes == [315, 320, 320, 320, 426, 427, 427]
     assert res.batches == len(sizes)
     total, cells, jets = ZERO, 0, 0
     for a, b in domains:
@@ -334,7 +333,7 @@ def test_wide_levels_run_in_near_equal_batches(monkeypatch):
 def test_chunk_boundaries_change_nothing(monkeypatch):
     """Batches of three cells split every level at odd places; every closed
     form still gets the single-cell enclosure, cell count and depth flag."""
-    _small_batches(monkeypatch, 3, 3)
+    _small_batches(monkeypatch, 3)
     for name, fn, a, b, _ in CASES[::3]:
         _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
 
@@ -355,15 +354,16 @@ def _alpha_band_halves():
     return make_kt_integrand(spec), halves, Tolerance(max_depth=7)
 
 
-@pytest.mark.parametrize(
-    "chunk, width", [pytest.param(3, 5, id="3"), pytest.param(7, 12, id="7"), pytest.param(256, 512, id="256")]
-)
-def test_speculative_levels_change_nothing(monkeypatch, chunk, width):
+@pytest.mark.parametrize("width", [3, 7, 12, 256], ids=str)
+def test_speculative_levels_change_nothing(monkeypatch, width):
     """Levels evaluated ahead of the walk, and wider levels cut into
     near-equal batches at odd places, give every closed form, the
     alpha-limited band and an integrand whose wide cells fail the
-    reference's enclosure bits, cells, jet evaluations and depth-cap flag."""
-    _small_batches(monkeypatch, chunk, width)
+    reference's enclosure bits, cells, jet evaluations and depth-cap flag.
+    While every cell splits, one root cell's levels of 1, 2 and 4 cells
+    fill 3 and 7 lanes exactly, and 12 and 256 lanes stop short, at 7 and
+    255."""
+    _small_batches(monkeypatch, width)
     for name, fn, a, b, _ in CASES:
         _assert_same_as_reference(fn, a, b, Tolerance(1e-6, 1e-6, 13))
     f, halves, tol = _alpha_band_halves()
@@ -373,7 +373,7 @@ def test_speculative_levels_change_nothing(monkeypatch, chunk, width):
     # the whole and its right half fail; a batch of more than three lanes
     # also holds halves of cells the walk accepts, which it discards
     res = _assert_same_as_reference(_wide_cells_fail, -0.7, 1.3, Tolerance(1e-4, 1e-4, 10))
-    if chunk > 3:
+    if width > 3:
         assert res.discarded_cells > 0
 
 
@@ -426,7 +426,7 @@ def test_point_alpha_walk_batches_fewer_than_levels(monkeypatch):
     (f,) = plain
     halves = [(pipeline.WINDOW_HALF, math.pi), (-math.pi, -pipeline.WINDOW_HALF)]
     levels = max(_reference_integrate(f, a, b, ps.tol)[-1] for a, b in halves)
-    assert len(node_calls) == v.batches < levels
+    assert len(node_calls) == v.quadrature.batches < levels
 
 
 def test_band_walk_calls_the_integrand_twice_per_batch(monkeypatch):
@@ -451,7 +451,7 @@ def test_band_walk_calls_the_integrand_twice_per_batch(monkeypatch):
 
     monkeypatch.setattr(pipeline, "make_kt_integrand", counting)
     v = pipeline.process(pipeline.ParameterSet.for_phase(1.0, 1.0001, 0.15))
-    assert v.batches < len(calls) <= 2 * v.batches
+    assert v.quadrature.batches < len(calls) <= 2 * v.quadrature.batches
 
 
 def test_non_evaluable_names_the_depth_first_cell():

@@ -143,6 +143,16 @@ def test_evolve_snapshot_times():
     assert len(times) == 4
 
 
+def test_every_snapshot_reaches_the_callback():
+    """t_final is not a multiple of snapshot_interval, so the last snapshot
+    is taken after the loop; the callback still sees it."""
+    seen = []
+    snaps = evolve(circle_state(1.0, 64), SimConfig(alpha=1.0, t_final=0.25, snapshot_interval=0.1), seen.append)
+    times = [s.time for s in seen]
+    assert times == [s.time for s in snaps]
+    assert np.allclose(times, [0.0, 0.1, 0.2, 0.25], rtol=0.0, atol=1e-12)
+
+
 def test_arc_chord_collapse_halts():
     st = ellipse_state(1.0, 3.0, 128)
     cfg = SimConfig(alpha=1.0, t_final=5.0, arc_chord_factor=0.999)
