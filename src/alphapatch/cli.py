@@ -197,6 +197,8 @@ def full_sweep_intervals(step):
     lo = 1e-9
     while lo < 2.0 - 1e-9:
         hi = min(lo + step, 2.0 - 1e-9)
+        if not lo < hi:
+            raise ValueError(f"sweep step {step} does not advance past alpha {lo}")
         intervals.append((lo, hi))
         lo = hi
     return intervals
@@ -268,7 +270,7 @@ def cmd_prove_convexity(args):
             note = "curvature minimum falls: jump +2pi loses convexity forward, -2pi backward"
         else:
             note = "unclassified"
-        print(f"C={args.c_phase} alpha=[{a.lo:.9g},{a.hi:.9g}]: {v.outcome.value} ({note})")
+        print(f"C={args.c_phase} alpha=[{a.lo:.17g},{a.hi:.17g}]: {v.outcome.value} ({note})")
     pairs = {
         "c_phase": args.c_phase,
         "alphas": ";".join(f"{lo}:{hi}" for lo, hi in intervals),
@@ -336,7 +338,10 @@ def load_sim_config(path=None, overrides=()):
         if isinstance(default, str):
             typed[key] = str(raw)
         elif isinstance(default, int) and not isinstance(default, bool):
-            typed[key] = int(float(raw))
+            value = float(raw)
+            if not value.is_integer():
+                raise ValueError(f"{key} {raw} must be a whole number")
+            typed[key] = int(value)
         else:
             typed[key] = float(raw)
     unknown = set(pairs) - set(_SIM_DEFAULTS)
@@ -381,7 +386,7 @@ def cmd_simulate(args):
         cfgmap = load_sim_config(args.config, args.set or [])
         state = _initial_state(cfgmap)
         cfg = sim.SimConfig(alpha=cfgmap["alpha"], **{key: cfgmap[key] for key in _SOLVER_KEYS})
-    except (OSError, ValueError, OverflowError) as exc:  # int(float("inf")) overflows
+    except (OSError, ValueError, OverflowError) as exc:  # a huge n can overflow the grid arithmetic
         print(exc, file=sys.stderr)
         return 2
     os.makedirs(args.out_dir, exist_ok=True)

@@ -219,8 +219,9 @@ def _limit_value(k):
     return Interval(-1.0) if k == 0 else ZERO
 
 
-def hull_enclosure(curve, k, x):
-    """Enclosure of z1^(k) over an interval inside an endpoint zone.
+def hull_enclosure(k, x):
+    """Enclosure of the bump component's z1^(k) over an interval inside an
+    endpoint zone (z1 does not involve the phase constant).
 
     Valid once the matching d_{k+1} sign fact holds on the zone: then
     z1^(k) is monotone there and its range is the hull of the endpoint
@@ -228,8 +229,6 @@ def hull_enclosure(curve, k, x):
     k = 0, else 0); the interval is read as representing its intersection
     with [-pi, pi].
     """
-    if not isinstance(curve, Bump):
-        raise ZoneViolation("hull enclosures apply to the bump curve only")
     if not 0 <= k <= 5:
         raise ZoneViolation("hull enclosures cover orders 0..5")
     if x.is_subset(ZONE_LEFT):

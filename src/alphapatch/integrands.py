@@ -277,7 +277,7 @@ class _ZoneBounds:
             zone = Interval(math.nextafter(PI.lo - r, -math.inf), PI.hi)
         else:
             zone = Interval(-PI.hi, math.nextafter(r - PI.lo, math.inf))
-        b = {k: _mag(hull_enclosure(curve, k, zone)) for k in range(1, kmax + 1)}
+        b = {k: _mag(hull_enclosure(k, zone)) for k in range(1, kmax + 1)}
         z2 = z2_derivs(zone, 3, curve.c_phase)
         s = {k: _mag(z2[k]) for k in range(1, 4)}
         mig = z2[1].mig()

@@ -135,11 +135,9 @@ class Interval:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Interval)
-            and self.lo == other.lo
-            and self.hi == other.hi
-        )
+        if not isinstance(other, Interval):
+            return NotImplemented  # lanes answer (by raising) for themselves
+        return self.lo == other.lo and self.hi == other.hi
 
     def __hash__(self):
         return hash((self.lo, self.hi))
@@ -453,7 +451,7 @@ def _both_zero(zx, zy):
 
 
 def _operand(x):
-    if isinstance(x, Interval):
+    if isinstance(x, (Interval, IntervalArray)):
         return x
     if isinstance(x, (int, float)):
         return Interval(x)
@@ -507,11 +505,9 @@ def _sub(x, y):
 
 
 def _mul(x, y):
-    """x * y lane by lane, as ``Interval.__mul__``.  The product is symmetric
-    bit for bit (the same four products; the outward step erases the sign
-    of a zero), so the lanes may come first."""
-    if not isinstance(x, IntervalArray):
-        x, y = y, x
+    """x * y lane by lane for lanes ``x``, as ``Interval.__mul__``.  The
+    product is symmetric bit for bit (the same four products; the outward
+    step erases the sign of a zero), so ``y * x`` comes here too."""
     zy = _is_zero(y)
     if zy is True:
         return ZERO
@@ -562,17 +558,7 @@ def _div(x, y):
     return IntervalArray(lo, hi, batch.err, zx)
 
 
-def _one_answer(name):
-    """A method of :class:`Interval` that has no lane-by-lane meaning."""
-
-    def unsupported(self, *args):
-        raise TypeError(f"IntervalArray.{name} needs one answer for all lanes; it is not supported")
-
-    unsupported.__name__ = name
-    return unsupported
-
-
-class IntervalArray(Interval):
+class IntervalArray:
     """Independent intervals ("lanes") with float64 array endpoints.
 
     Every operation gives, lane by lane, the bits :class:`Interval` gives,
@@ -581,8 +567,10 @@ class IntervalArray(Interval):
     bool array shared by every array derived from one batch.  The endpoints
     of a flagged lane mean nothing.  An operand may be another array of the
     same batch, a single interval or a number, which then applies to every
-    lane.  Comparisons and queries that would need one answer for all lanes
-    (``mid``, ``hull``, ``==`` and the like) raise :class:`TypeError`.
+    lane.  It is not an :class:`Interval`: it has only the lane-by-lane
+    operations the integrands use, and none of the queries that would need
+    one answer for all lanes (``mid``, ``hull`` and the like); ``==``
+    raises :class:`TypeError`.
 
     ``zero`` masks the lanes equal to [0, 0], or is False if there are none,
     which is what the zero short-circuits test.  It is worked out here
@@ -590,7 +578,7 @@ class IntervalArray(Interval):
     [0, 0], so only the short-circuited lanes can be.
     """
 
-    __slots__ = ("err", "zero")
+    __slots__ = ("lo", "hi", "err", "zero")
     __array_ufunc__ = None  # a numpy scalar operand defers to the methods below
 
     def __init__(self, lo, hi, err, zero=None):
@@ -643,15 +631,8 @@ class IntervalArray(Interval):
     def __neg__(self):
         return IntervalArray(-self.hi, -self.lo, self.err, self.zero)
 
-    # inherited from Interval, these would return a plain Interval without
-    # the flag mask (half) or fail on a numpy truth value
-    half = _one_answer("half")
-    hull = _one_answer("hull")
-    mid = _one_answer("mid")
-    mag = _one_answer("mag")
-    mig = _one_answer("mig")
-    is_subset = _one_answer("is_subset")
-    __eq__ = _one_answer("__eq__")
+    def __eq__(self, other):
+        raise TypeError("IntervalArray.__eq__ needs one answer for all lanes; it is not supported")
 
     def is_zero(self):
         """True only if every lane is [0, 0]."""
@@ -682,6 +663,8 @@ class IntervalArray(Interval):
         self.err |= hi == np.inf
         lo = np.where((a <= 0.0) & (0.0 <= b), 0.0, _dn(np.minimum(aa, bb)))
         return IntervalArray(lo, hi, self.err, False)
+
+    powi = Interval.powi
 
     def sqrt(self):
         ok = self.lo > 0.0  # Interval.sqrt raises on the others

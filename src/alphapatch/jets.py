@@ -14,7 +14,7 @@ fixed truncation.  Jets are immutable and thread-safe like intervals.
 
 from __future__ import annotations
 
-from .interval import Interval, ZERO, ONE
+from .interval import Interval, IntervalArray, ZERO, ONE
 
 __all__ = ["Jet4"]
 
@@ -22,7 +22,7 @@ _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
 def _as_interval(x):
-    if isinstance(x, Interval):
+    if isinstance(x, (Interval, IntervalArray)):
         return x
     return Interval(x)
 
@@ -63,7 +63,7 @@ class Jet4:
         if isinstance(other, Jet4):
             a, b = self.c, other.c
             return Jet4((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4]))
-        if isinstance(other, (Interval, int, float)):
+        if isinstance(other, (Interval, IntervalArray, int, float)):
             a = self.c
             return Jet4((a[0] + other, a[1], a[2], a[3], a[4]))
         return NotImplemented
@@ -74,7 +74,7 @@ class Jet4:
         if isinstance(other, Jet4):
             a, b = self.c, other.c
             return Jet4((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3], a[4] - b[4]))
-        if isinstance(other, (Interval, int, float)):
+        if isinstance(other, (Interval, IntervalArray, int, float)):
             a = self.c
             return Jet4((a[0] - other, a[1], a[2], a[3], a[4]))
         return NotImplemented
@@ -98,7 +98,7 @@ class Jet4:
                     a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0],
                 )
             )
-        if isinstance(other, (Interval, int, float)):
+        if isinstance(other, (Interval, IntervalArray, int, float)):
             a = self.c
             return Jet4((a[0] * other, a[1] * other, a[2] * other, a[3] * other, a[4] * other))
         return NotImplemented
@@ -115,7 +115,7 @@ class Jet4:
             q3 = (a[3] - b[1] * q2 - b[2] * q1 - b[3] * q0) / b0
             q4 = (a[4] - b[1] * q3 - b[2] * q2 - b[3] * q1 - b[4] * q0) / b0
             return Jet4((q0, q1, q2, q3, q4))
-        if isinstance(other, (Interval, int, float)):
+        if isinstance(other, (Interval, IntervalArray, int, float)):
             o = _as_interval(other)
             a = self.c
             return Jet4((a[0] / o, a[1] / o, a[2] / o, a[3] / o, a[4] / o))

@@ -87,12 +87,6 @@ class RegionVerdict:
     # the quadrature over both halves, with its work counters
     quadrature: QuadratureResult | None = None
 
-    # the counters most read, by their names in the region manifest
-    cells = property(lambda self: self.quadrature.subinterval_count)
-    jet_evaluations = property(lambda self: self.quadrature.jet_evaluations)
-    max_depth_hit = property(lambda self: self.quadrature.max_depth_hit)
-    alpha_limited_cells = property(lambda self: self.quadrature.alpha_limited_cells)
-
     def row(self):
         return [
             _g17(self.ps.c_phase.mid()),

@@ -39,8 +39,9 @@ batches of at most :data:`WIDTH` lanes.  Each batch evaluates its node sums
 remainders, with one integrand call each; the cells that need a remainder
 are chosen once every batch has its node sums, since a cell's sibling and
 parent may lie in another batch.  The lanes are :class:`IntervalArray`s,
-so the integrand must be generic over those too (the regime integrands
-are).  The flag mask is the only way a batch reports a failure: an array
+which are not :class:`Interval`s and have only the lane-by-lane
+operations, so the integrand must be generic over those too (the regime
+integrands are).  The flag mask is the only way a batch reports a failure: an array
 operation flags a lane exactly where the one-cell :class:`Interval`
 evaluation raises, and carries that evaluation's bits on every other lane.
 A flagged lane, or every lane of a batch that raises, has no enclosure, so
@@ -57,8 +58,9 @@ level of n > :data:`WIDTH` cells is cut into ceil(n / :data:`WIDTH`)
 batches whose sizes differ by at most one, not into full batches and a
 ragged tail.  A narrower level is evaluated in one batch with the levels
 below it, as many whole levels as fit in :data:`WIDTH` lanes: the halves
-of every non-final cell, their halves, and so on.  The walk still decides
-on one level at a time from these stored results.  After each level it
+of every non-final cell, their halves, and so on.  The walk then goes
+through the group one level at a time, deciding from these stored results,
+before the next group is evaluated.  After each level it
 keeps of the level below the halves of the cells it split
 (``np.repeat(split[~final], 2)``) and drops the rest, the descendants of
 accepted cells; the cells dropped are counted as discarded.  A lane's
@@ -313,33 +315,29 @@ def adaptive_integrate(f, domains, tol=Tolerance()):
     accepted = []  # per level: (cell lo, enclosure lo, enclosure hi) of its accepted cells
     lo, hi = np.array([a for a, _ in ordered]), np.array([b for _, b in ordered])
     parent = None  # the node-sum widths of the next level's parent cells
-    ahead = []  # the evaluated levels the walk has not reached yet
     depth = 0
     with np.errstate(all="ignore"):
-        while ahead or lo.size:
-            if not ahead:
-                ahead, n = _evaluate_levels(f, lo, hi, depth, parent, tol)
-                batches += n
-                reached = np.ones(lo.size, bool)
-            lo, hi, final, width, elo, ehi, have, wide, want_jet, stop = ahead.pop(0)
-            discarded += lo.size - int(np.count_nonzero(reached))
-            missing = reached & final & ~have
-            if np.count_nonzero(missing):
-                i = int(np.argmax(missing))
-                raise NonEvaluable(f"integrand not evaluable on [{lo[i]}, {hi[i]}] at depth cap")
-            accept = reached & have & (final | ~wide | stop)
-            accepted.append((lo[accept], elo[accept], ehi[accept]))
-            jets += int(np.count_nonzero(reached & want_jet))
-            limited += int(np.count_nonzero(reached & stop))
-            depth_hit = depth_hit or bool(np.count_nonzero(accept & wide & ~stop))
-            split = reached & ~accept
-            if ahead:
+        while lo.size:
+            levels, n = _evaluate_levels(f, lo, hi, depth, parent, tol)
+            batches += n
+            reached = np.ones(lo.size, bool)
+            for lo, hi, final, width, elo, ehi, have, wide, want_jet, stop in levels:
+                discarded += lo.size - int(np.count_nonzero(reached))
+                missing = reached & final & ~have
+                if np.count_nonzero(missing):
+                    i = int(np.argmax(missing))
+                    raise NonEvaluable(f"integrand not evaluable on [{lo[i]}, {hi[i]}] at depth cap")
+                accept = reached & have & (final | ~wide | stop)
+                accepted.append((lo[accept], elo[accept], ehi[accept]))
+                jets += int(np.count_nonzero(reached & want_jet))
+                limited += int(np.count_nonzero(reached & stop))
+                depth_hit = depth_hit or bool(np.count_nonzero(accept & wide & ~stop))
+                split = reached & ~accept
                 # the level below holds the halves of every non-final cell
                 reached = np.repeat(split[~final], 2)
-            else:
-                lo, hi = _halves(lo[split], hi[split])
-                parent = np.repeat(width[split], 2)
-            depth += 1
+                depth += 1
+            lo, hi = _halves(lo[split], hi[split])
+            parent = np.repeat(width[split], 2)
     # each level's accepted cells run from left to right; merged by their
     # left ends, each domain's cells come in the order a depth-first walk
     # over that domain alone accepts them in

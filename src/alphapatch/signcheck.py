@@ -45,7 +45,6 @@ class SignTask:
 class CertRow:
     sub: Interval
     enclosure: Optional[Interval]
-    sign: int  # +1 / -1, or 0 for an indeterminate witness
 
 
 @dataclass
@@ -76,19 +75,19 @@ def validate_sign(task):
             enc = None
             evaluations += 1
         if enc is not None and enc.lo > 0.0:
-            rows.append(CertRow(sub, enc, 1))
+            rows.append(CertRow(sub, enc))
             signs_seen.add(1)
         elif enc is not None and enc.hi < 0.0:
-            rows.append(CertRow(sub, enc, -1))
+            rows.append(CertRow(sub, enc))
             signs_seen.add(-1)
         elif sub.width() < task.min_width:
-            witness = CertRow(sub, enc, 0)
+            witness = CertRow(sub, enc)
             return SignResult(SignOutcome.INDETERMINATE, rows, witness, evaluations)
         else:
             mid = sub.mid()
             if not (sub.lo < mid < sub.hi):
                 # no representable interior point left to split at
-                witness = CertRow(sub, enc, 0)
+                witness = CertRow(sub, enc)
                 return SignResult(SignOutcome.INDETERMINATE, rows, witness, evaluations)
             # push right first so the left half is processed next (DFS in
             # ascending order -> deterministic certificates)

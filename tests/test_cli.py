@@ -139,6 +139,21 @@ def test_prove_convexity_vortex(tmp_path, capsys):
     }
 
 
+def test_verdict_line_alpha_round_trips(tmp_path, capsys):
+    """The printed alpha endpoints parse back to the region row's: at 9
+    digits [1.0, 1.0000000001] would read [1,1]."""
+    code = main(
+        ["prove-convexity", "--alpha", "1.0:1.0000000001", "--workers", "1", "--out-dir", str(tmp_path)]
+    )
+    assert code == 0
+    (line,) = [text for text in capsys.readouterr().out.splitlines() if " alpha=[" in text]
+    printed = line.split("alpha=[", 1)[1].split("]", 1)[0].split(",")
+    with open(tmp_path / "positive.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert [float(x) for x in printed] == [float(row["alpha_lo"]), float(row["alpha_hi"])]
+    assert float(printed[1]) == 1.0000000001
+
+
 def test_prove_convexity_requires_alpha(tmp_path):
     assert main(["prove-convexity", "--out-dir", str(tmp_path)]) == 2
 
@@ -163,6 +178,7 @@ def test_prove_convexity_requires_alpha(tmp_path):
         ["--alpha", "0:0", "--split-threshold", "-1"],
         ["--alpha", "0:0", "--abs-tol", "inf"],
         ["--alpha", "0:0", "--rel-tol", "inf"],
+        ["--full-sweep", "--sweep-step", "1e-300"],
     ],
 )
 def test_prove_convexity_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
@@ -230,6 +246,7 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
         ["--set", "shape=bump", "--set", "c_phase=nan"],
         ["--set", "t_final=inf"],
         ["--set", "filter_order=8"],
+        ["--set", "n=64.5"],
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, monkeypatch, config):
@@ -348,3 +365,11 @@ def test_full_sweep_tiling():
     for (_, ha), (lb, _) in zip(tiles[1:], tiles[2:]):
         assert ha == lb
     assert sum(hi - lo for lo, hi in tiles) > 1.99
+
+
+def test_full_sweep_rejects_a_step_that_does_not_advance():
+    """1e-9 + 1e-300 rounds back to 1e-9, so the slices would repeat forever."""
+    from alphapatch.cli import full_sweep_intervals
+
+    with pytest.raises(ValueError, match="does not advance"):
+        full_sweep_intervals(1e-300)

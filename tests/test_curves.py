@@ -132,30 +132,30 @@ _Z1_AT_INNER = {
 
 def test_hull_enclosure_left_zone():
     for k, want in _Z1_AT_INNER.items():
-        h = hull_enclosure(C15, k, ZONE_LEFT)
+        h = hull_enclosure(k, ZONE_LEFT)
         assert h.lo <= 0.0 and h.hi >= want, k
         assert h.hi <= want * 1.0001
-    h0 = hull_enclosure(C15, 0, ZONE_LEFT)
+    h0 = hull_enclosure(0, ZONE_LEFT)
     assert h0.lo <= -1.0 <= h0.hi + 1e-12
     assert h0.width() <= 1e-18 + 4e-16
 
 
 def test_hull_degenerate_at_pi():
     for k in range(1, 6):
-        h = hull_enclosure(C15, k, Interval(PI.lo, PI.hi))
+        h = hull_enclosure(k, Interval(PI.lo, PI.hi))
         assert h.lo == 0.0 and h.hi == 0.0
 
 
 def test_hull_zone_violation():
     with pytest.raises(ZoneViolation):
-        hull_enclosure(C15, 1, Interval(0.0, 1.0))
+        hull_enclosure(1, Interval(0.0, 1.0))
 
 
 def test_hull_contains_direct_values():
     rnd = random.Random(4)
     zone = Interval(ZONE_RIGHT.lo, math.pi - 1e-9)
     for k in range(6):
-        h = hull_enclosure(C15, k, ZONE_RIGHT)
+        h = hull_enclosure(k, ZONE_RIGHT)
         for _ in range(25):
             x0 = rnd.uniform(zone.lo, zone.hi)
             v = z1_derivs(Interval(x0), k)[k]
@@ -165,7 +165,7 @@ def test_hull_contains_direct_values():
 
 def test_curvature_zero_at_pi():
     X = Interval(PI.lo, PI.hi)
-    enc = _curvature_numerator(C45, X, hull_enclosure(C45, 1, X), hull_enclosure(C45, 2, X))
+    enc = _curvature_numerator(C45, X, hull_enclosure(1, X), hull_enclosure(2, X))
     assert enc.lo <= 0.0 <= enc.hi
     assert enc.width() < 1e-12
 

@@ -350,10 +350,19 @@ def test_array_error_mask_sticks():
 
 @pytest.mark.parametrize("name", ["half", "hull", "mid", "mag", "mig", "is_subset", "__eq__"])
 def test_array_rejects_one_answer_methods(name):
-    """Methods that would need one answer for all lanes raise a TypeError
-    naming the method, instead of returning a plain Interval without the
-    flag mask (half) or failing on a numpy truth value."""
+    """Lanes are not an Interval: the queries that would need one answer for
+    all lanes do not exist on them, so none can return a plain Interval
+    without the flag mask (half) or fail on a numpy truth value, and ``==``
+    raises a TypeError naming it."""
     X = IntervalArray(np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.zeros(2, bool))
-    args = (X,) if name in ("hull", "is_subset", "__eq__") else ()
-    with pytest.raises(TypeError, match=name):
-        getattr(X, name)(*args)
+    assert not isinstance(X, Interval)
+    if name == "__eq__":
+        for other in (X, Interval(1.0, 3.0)):
+            with pytest.raises(TypeError, match=name):
+                X == other
+            with pytest.raises(TypeError, match=name):
+                other == X
+    else:
+        assert not hasattr(X, name)
+        with pytest.raises(AttributeError, match=name):
+            getattr(X, name)

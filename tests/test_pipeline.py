@@ -215,9 +215,10 @@ def test_process_frozen_bits(key):
     what they were when each y-half had its own quadrature walk."""
     c, lo, hi = key
     v = process(ParameterSet.for_phase(lo, hi, c))
-    got = (v.enclosure.lo.hex(), v.enclosure.hi.hex(), v.cells, v.jet_evaluations, v.max_depth_hit)
+    q = v.quadrature
+    got = (v.enclosure.lo.hex(), v.enclosure.hi.hex(), q.subinterval_count, q.jet_evaluations, q.max_depth_hit)
     assert got == _PROCESS_BITS[key]
-    assert (v.alpha_limited_cells > 0) == (lo < hi)
+    assert (q.alpha_limited_cells > 0) == (lo < hi)
 
 
 def test_alpha_slice_stops_refining_y():
@@ -226,5 +227,5 @@ def test_alpha_slice_stops_refining_y():
     cap without it)."""
     v = process(ParameterSet.for_phase(1.0, 1.01, 0.15))
     assert v.outcome == SignOutcome.ALL_POSITIVE
-    assert v.cells <= 1000
-    assert v.alpha_limited_cells > 0
+    assert v.quadrature.subinterval_count <= 1000
+    assert v.quadrature.alpha_limited_cells > 0
