@@ -386,7 +386,7 @@ def cmd_simulate(args):
         cfgmap = load_sim_config(args.config, args.set or [])
         state = _initial_state(cfgmap)
         cfg = sim.SimConfig(alpha=cfgmap["alpha"], **{key: cfgmap[key] for key in _SOLVER_KEYS})
-    except (OSError, ValueError, OverflowError) as exc:  # a huge n can overflow the grid arithmetic
+    except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
     os.makedirs(args.out_dir, exist_ok=True)

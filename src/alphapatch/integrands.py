@@ -46,6 +46,8 @@ from .interval import Interval, IntervalArray, DomainViolation, SignOutcome, PI,
 from .jets import Jet4
 from .curves import (
     EPS_ZONE,
+    ZONE_LEFT,
+    ZONE_RIGHT,
     Bump,
     ZoneViolation,
     hull_enclosure,
@@ -69,8 +71,8 @@ __all__ = [
 
 ALPHA_CR = 0.04
 ALPHA_BR = 1.95
-# the window residual is bounded through the endpoint-zone hulls, so the
-# default window is the whole zone
+# the quadrature leaves out [-WINDOW_HALF, WINDOW_HALF]; singular_residual
+# bounds it through the hulls over the endpoint zones, so it is one zone wide
 WINDOW_HALF = EPS_ZONE
 
 
@@ -267,17 +269,13 @@ def _mag(iv):
 class _ZoneBounds:
     """Hull-based magnitude bounds over one endpoint zone."""
 
-    b: dict  # order -> magnitude bound of the bump component (Interval)
-    s: dict  # order -> magnitude bound of the sine component
+    b: dict  # order 1..5 -> magnitude bound of the bump component (Interval)
+    s: dict  # order 1..3 -> magnitude bound of the sine component
     den: Interval  # lower-bound interval for |dz|^2 / y^2
 
     @classmethod
-    def build(cls, curve, side, r, kmax):
-        if side > 0:
-            zone = Interval(math.nextafter(PI.lo - r, -math.inf), PI.hi)
-        else:
-            zone = Interval(-PI.hi, math.nextafter(r - PI.lo, math.inf))
-        b = {k: _mag(hull_enclosure(k, zone)) for k in range(1, kmax + 1)}
+    def build(cls, curve, zone):
+        b = {k: _mag(hull_enclosure(k, zone)) for k in range(1, 6)}
         z2 = z2_derivs(zone, 3, curve.c_phase)
         s = {k: _mag(z2[k]) for k in range(1, 4)}
         mig = z2[1].mig()
@@ -326,17 +324,14 @@ def _alpha_coeff(z, a, s_w, c_w, h2, h3, h4):
     return s_w * zxt + c_w * zxxt, g_2a, g_4a
 
 
-def _residual_half(spec, pt, side, r):
-    """Bound for the window-half integral over 0 < |y| <= r on one side."""
-    if r <= 0.0:
-        return ZERO
-    if r > WINDOW_HALF:
-        raise ZoneViolation("window may not exceed the 1/128 endpoint zones")
+def _residual_half(spec, pt, zone):
+    """Bound for the window half 0 < |y| <= WINDOW_HALF on which pi - y
+    sweeps ``zone``: curves.ZONE_RIGHT for y > 0, ZONE_LEFT for y < 0."""
     a = spec.alpha
     s_w = _mag(pt.s)
     c_w = _mag(pt.c)
+    z = _ZoneBounds.build(spec.curve, zone)
     if spec.regime == Regime.VORTEX:
-        z = _ZoneBounds.build(spec.curve, side, r, 3)
         pa, pb, pc, pd = z.pa(), z.pb(), z.pc(), z.pd()
         den = z.den
         zxt = pa * z.b[2] / den + pb * z.b[1] / den
@@ -347,17 +342,15 @@ def _residual_half(spec, pt, side, r):
             + pd * z.b[1] / den
             + 2.0 * (pb.sqr() * z.b[1]) / den.sqr()
         )
-        bound = (s_w * zxt + c_w * zxxt) * r
+        bound = (s_w * zxt + c_w * zxxt) * WINDOW_HALF
         return _symmetric(bound.hi)
     if spec.regime == Regime.BIG_ALPHA:
-        z = _ZoneBounds.build(spec.curve, side, r, 4)
         coeff, _, _ = _alpha_coeff(z, a, s_w, c_w, z.b[2], z.b[3], z.b[4])
         two_m_a = 2.0 - a
-        power_int = Interval(r).pow(two_m_a) / two_m_a  # int_0^r y^{1-alpha}
+        power_int = Interval(WINDOW_HALF).pow(two_m_a) / two_m_a  # int_0^WINDOW_HALF y^{1-alpha}
         return _symmetric((coeff * power_int).hi)
     if spec.regime == Regime.SMALL_ALPHA:
-        z = _ZoneBounds.build(spec.curve, side, r, 4)
-        if (z.pa().sqrt() * r).hi >= 1.0:
+        if (z.pa().sqrt() * WINDOW_HALF).hi >= 1.0:
             raise ZoneViolation("log bound needs |dz| < 1 on the window")
         # log-weighted terms: |log |dz|| <= -log(mroot * y) on the window
         c2, g_2a, g_4a = _alpha_coeff(z, a, s_w, c_w, z.b[2], z.b[3], z.b[4])
@@ -370,28 +363,26 @@ def _residual_half(spec, pt, side, r):
             + z.b[2] * pd * g_2a
         )
         two_m_a = 2.0 - a
-        rp = Interval(r).pow(two_m_a)
+        rp = Interval(WINDOW_HALF).pow(two_m_a)
         plain_int = rp / two_m_a
         mroot = z.den.sqrt()
-        log_at_r = -((mroot * r).log())  # positive
-        log_int = rp * (log_at_r / two_m_a + 1.0 / two_m_a.sqr())
+        log_at_edge = -((mroot * WINDOW_HALF).log())  # positive
+        log_int = rp * (log_at_edge / two_m_a + 1.0 / two_m_a.sqr())
         return _symmetric((c1 * plain_int + c2 * log_int).hi)
     # very big alpha: second-order Taylor around pi (the limit derivatives
     # vanish) gives the extra power of y that keeps the bound finite:
     # |dzx_1| <= y^2/2 * sup|z1'''|, and likewise one and two orders up
-    z = _ZoneBounds.build(spec.curve, side, r, 5)
     coeff, _, _ = _alpha_coeff(z, a, s_w, c_w, z.b[3] * 0.5, z.b[4] * 0.5, z.b[5] * 0.5)
     three_m_a = 3.0 - a
-    power_int = Interval(r).pow(three_m_a) / three_m_a  # int_0^r y^{2-alpha}
+    power_int = Interval(WINDOW_HALF).pow(three_m_a) / three_m_a  # int_0^WINDOW_HALF y^{2-alpha}
     return _symmetric((coeff * power_int).hi)
 
 
-def singular_residual(spec, left=-WINDOW_HALF, right=WINDOW_HALF):
-    """Enclosure of the window contribution [left, right] around y = 0."""
-    if not (left <= 0.0 <= right):
-        raise ZoneViolation("window must contain 0")
+def singular_residual(spec):
+    """Enclosure of the integral over [-WINDOW_HALF, WINDOW_HALF], the window
+    that the quadrature leaves out."""
     pt = _PointData(spec.curve.c_phase)
-    return _residual_half(spec, pt, 1, right) + _residual_half(spec, pt, -1, -left)
+    return _residual_half(spec, pt, ZONE_RIGHT) + _residual_half(spec, pt, ZONE_LEFT)
 
 
 # ---------------------------------------------------------------------------

@@ -286,13 +286,9 @@ class Interval:
     def pow(self, p):
         """x^p for interval (or scalar) exponent, as exp(p * log x).
 
-        Requires lo > 0: a base touching zero means an arc-chord enclosure
-        degenerated and the caller has to subdivide instead.
+        Requires lo > 0, as log() does: a base touching zero means an
+        arc-chord enclosure degenerated and the caller has to subdivide.
         """
-        if not isinstance(p, Interval):
-            p = Interval(p)
-        if self.lo <= 0.0:
-            raise DomainViolation(f"pow of {self!r} touching <= 0")
         return (p * self.log()).exp()
 
     def sin(self):

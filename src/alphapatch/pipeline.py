@@ -21,6 +21,7 @@ sorted deterministically.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -143,23 +144,17 @@ def zone_fact_tasks(min_width=DEFAULT_MIN_WIDTH):
     return tasks
 
 
-_zone_facts_ok = False
-
-
+@functools.cache
 def ensure_zone_facts():
     """Certify the d_1..d_6 zone signs that legitimize hull enclosures.
 
     The polynomials do not involve the phase constant, so one certification
-    per process covers every ParameterSet.  Results are cached.
+    per process covers every ParameterSet.  Only a success is cached.
     """
-    global _zone_facts_ok
-    if _zone_facts_ok:
-        return
     for name, task in zone_fact_tasks():
         res = validate_sign(task)
         if res.outcome != task.expected:
             raise ZoneFactsFailed(f"{name}: got {res.outcome}")
-    _zone_facts_ok = True
 
 
 def _sliver_bound(f, lo, hi, width):
@@ -172,7 +167,7 @@ def process(ps):
     regime = regime_select(ps.alpha)
     ensure_zone_facts()
     curve = Bump(ps.c_phase)
-    spec = IntegrandSpec.for_regime(regime, ps.alpha, curve)
+    spec = IntegrandSpec(regime, ps.alpha, curve)
     f = make_kt_integrand(spec)
     p = math.pi
     # both halves in one walk: their cells share each level's batches, and

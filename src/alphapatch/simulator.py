@@ -63,6 +63,8 @@ FILTER = (36.0, 36)
 # rows per block of the O(N^2) pair work: each block lives in two (ROWS, N)
 # buffers, 1 MiB at N = 512, and is reduced before the next is filled
 ROWS = 128
+# largest grid size N; ellipse_state's 64 N-point grid then takes 32 MiB
+MAX_N = 65536
 
 
 class ArcChordCollapse(RuntimeError):
@@ -109,11 +111,9 @@ class SimState:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        n = self.points.shape[0]
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must have shape (N, 2)")
-        if n < 64 or n & (n - 1):
-            raise ValueError("N must be a power of two >= 64")
+        _require_grid_size(self.points.shape[0])
 
     @property
     def n(self):
@@ -121,6 +121,12 @@ class SimState:
 
     def copy(self):
         return SimState(self.points.copy(), self.time)
+
+
+def _require_grid_size(n):
+    """Reject a grid size N before any array of that size is built."""
+    if not (64 <= n <= MAX_N and n & (n - 1) == 0):
+        raise ValueError(f"N {n} must be a power of two in [64, {MAX_N}]")
 
 
 def alpha_patch_constant(alpha, jump):
@@ -355,8 +361,7 @@ def _periodic_antiderivative(values):
     k[0] = 1.0
     out = spec / (1j * k)
     out[0] = 0.0
-    if n % 2 == 0:
-        out[-1] = 0.0
+    out[-1] = 0.0  # the Nyquist mode: N is a power of two
     return np.fft.irfft(out, n=n)
 
 
@@ -397,8 +402,7 @@ class Diagnostics:
 def diagnostics(state):
     """Curvature minimum, enclosed area, arc-chord minimum, speed variation."""
     z = state.points
-    zx = spectral_derivative(z, 1)
-    zxx = spectral_derivative(z, 2)
+    zx, zxx = _derivatives(z, (1, 2), None)
     speed2 = np.einsum("ik,ik->i", zx, zx)
     kappa = (-zxx[:, 0] * zx[:, 1] + zxx[:, 1] * zx[:, 0]) / speed2**1.5
     h = TWO_PI / z.shape[0]
@@ -505,12 +509,12 @@ def _require_radius(name, value):
         raise ValueError(f"{name} {value} must be a finite value > 0")
 
 
-def circle_state(radius=1.0, n=512):
+def circle_state(radius, n):
     _require_radius("radius", radius)
     return ellipse_state(radius, radius, n)
 
 
-def ellipse_state(r1=1.0, r2=3.0, n=512):
+def ellipse_state(r1, r2, n):
     """Ellipse (r1 cos, r2 sin), resampled to uniform arclength.
 
     Uniform arclength keeps |z_x| spatially constant, which the tangential
@@ -518,6 +522,7 @@ def ellipse_state(r1=1.0, r2=3.0, n=512):
     """
     _require_radius("r1", r1)
     _require_radius("r2", r2)
+    _require_grid_size(n)
     if r1 == r2:
         grid = np.arange(n) * (TWO_PI / n)
         pts = np.stack([r1 * np.cos(grid), r2 * np.sin(grid)], axis=1)
@@ -537,10 +542,11 @@ def ellipse_state(r1=1.0, r2=3.0, n=512):
     return SimState(pts)
 
 
-def bump_state(c_phase=0.15, n=512):
+def bump_state(c_phase, n):
     """The proof curve sampled on the uniform parameter grid."""
     if not math.isfinite(c_phase):
         raise ValueError(f"c_phase {c_phase} must be finite")
+    _require_grid_size(n)
     grid = np.arange(n) * (TWO_PI / n) - math.pi
     with np.errstate(divide="ignore", over="ignore"):
         t2 = (grid / math.pi) ** 2

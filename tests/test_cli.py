@@ -247,6 +247,8 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
         ["--set", "t_final=inf"],
         ["--set", "filter_order=8"],
         ["--set", "n=64.5"],
+        ["--set", "n=131072"],
+        ["--set", "n=1099511627776"],
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, monkeypatch, config):

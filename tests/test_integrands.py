@@ -187,50 +187,25 @@ def test_residual_negligible_all_regimes():
             assert res.hi <= 1e-60, (regime, curve)
 
 
-def test_residual_window_limited():
-    from alphapatch.curves import ZoneViolation
-
-    spec = _spec(Regime.BIG_ALPHA, 1.0)
-    with pytest.raises(ZoneViolation):
-        singular_residual(spec, -0.02, 0.02)
-
-
-# singular_residual half-widths, float.hex, per (regime, alpha band) and
-# window: (C = 0.15, C = 0.45); None is the default window
+# singular_residual half-widths, float.hex, per (regime, alpha band):
+# (C = 0.15, C = 0.45)
 _RESIDUAL_BITS = {
-    (Regime.VORTEX, 0.0, 0.0): {
-        None: ("0x1.e096c238026e7p-251", "0x1.b7f3d2ae30fdbp-251"),
-        (-1e-3, 2e-3): ("0x1.bfaa62e2208f5p-1021", "0x1.97f4bfd6db18fp-1021"),
-        (0.0, 1e-4): ("0x1.4c4786e60a04fp-1004", "0x1.2e9e32dd45d07p-1004"),
-    },
-    (Regime.SMALL_ALPHA, 0.02, 0.0201): {
-        None: ("0x1.110f3bd5aeea9p-241", "0x1.fb1970ea62e2dp-242"),
-        (-1e-3, 2e-3): ("0x1.6a33e07dfeea4p-1008", "0x1.4ea4060c4c432p-1008"),
-        (0.0, 1e-4): ("0x1.d6bebe6ca73afp-988", "0x1.b1a2ad47f686dp-988"),
-    },
-    (Regime.BIG_ALPHA, 1.0, 1.0001): {
-        None: ("0x1.71db85b85554dp-236", "0x1.725b873511339p-236"),
-        (-1e-3, 2e-3): ("0x1.4a51d5f625b26p-1000", "0x1.4a531d53ba500p-1000"),
-        (0.0, 1e-4): ("0x1.898a294e0df7fp-977", "0x1.898e72fd67010p-977"),
-    },
-    (Regime.VERY_BIG_ALPHA, 1.96, 1.9601): {
-        None: ("0x1.beb5895634cedp-223", "0x1.e9fb129785125p-223"),
-        (-1e-3, 2e-3): ("0x1.68ec1b2e77f35p-981", "0x1.8ad96ce94d5fap-981"),
-        (0.0, 1e-4): ("0x1.359183561de10p-951", "0x1.52b05e1193efbp-951"),
-    },
+    (Regime.VORTEX, 0.0, 0.0): ("0x1.e096c238026e7p-251", "0x1.b7f3d2ae30fdbp-251"),
+    (Regime.SMALL_ALPHA, 0.02, 0.0201): ("0x1.110f3bd5aeea9p-241", "0x1.fb1970ea62e2dp-242"),
+    (Regime.BIG_ALPHA, 1.0, 1.0001): ("0x1.71db85b85554dp-236", "0x1.725b873511339p-236"),
+    (Regime.VERY_BIG_ALPHA, 1.96, 1.9601): ("0x1.beb5895634cedp-223", "0x1.e9fb129785125p-223"),
 }
 
 
 def test_residual_frozen_bits():
     """The window residual is symmetric and bit-for-bit what it was when the
     four regimes' bounds were first certified."""
-    for (regime, alo, ahi), windows in _RESIDUAL_BITS.items():
-        for window, bits in windows.items():
-            for curve, hex_hi in zip((C15, C45), bits):
-                spec = _spec(regime, alo, ahi, curve)
-                res = singular_residual(spec, *(window or ()))
-                hi = float.fromhex(hex_hi)
-                assert (res.lo, res.hi) == (-hi, hi), (regime, window, curve)
+    for (regime, alo, ahi), bits in _RESIDUAL_BITS.items():
+        for curve, hex_hi in zip((C15, C45), bits):
+            spec = _spec(regime, alo, ahi, curve)
+            res = singular_residual(spec)
+            hi = float.fromhex(hex_hi)
+            assert (res.lo, res.hi) == (-hi, hi), (regime, curve)
 
 
 def test_ellipse_rotation_integrand_endpoints():

@@ -326,3 +326,25 @@ def test_simulator_frozen_bits():
             assert got == _VELOCITY_BITS[shape, n, alpha], (shape, n, alpha)
     snaps = evolve(ellipse_state(1.0, 3.0, 128), SimConfig(alpha=1.0, t_final=0.1, snapshot_interval=0.05))
     assert [(s.time.hex(), _sha(s.points)) for s in snaps] == _EVOLVE_BITS
+
+
+# diagnostics() fields (min_curvature, area, arc_chord_min, speed_variation)
+# as float.hex, per initial state at N = 128
+_DIAGNOSTICS_BITS = {
+    "ellipse": ("0x1.c71d853e4ac2cp-4", "0x1.2d97c7f336f64p+3", "0x1.0000000000000p+0", "0x1.0621a6c399c87p-13"),
+    "bump": ("-0x1.34f09b1ef4074p-11", "0x1.862f033137d4ep+1", "0x1.3034b2c215532p-1", "0x1.00d0315253e31p+0"),
+    "circle": ("0x1.fffffffffefffp-1", "0x1.921fb54442d18p+1", "0x1.fffffffffffd0p-1", "0x1.1f00000000000p-45"),
+}
+
+
+def test_diagnostics_frozen_bits():
+    """diagnostics() gives the bits of one spectral transform per derivative."""
+    states = {
+        "ellipse": ellipse_state(1.0, 3.0, 128),
+        "bump": bump_state(0.15, 128),
+        "circle": circle_state(1.0, 128),
+    }
+    for name, state in states.items():
+        d = diagnostics(state)
+        got = (d.min_curvature.hex(), d.area.hex(), d.arc_chord_min.hex(), d.speed_variation.hex())
+        assert got == _DIAGNOSTICS_BITS[name], name
