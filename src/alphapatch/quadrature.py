@@ -91,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import Interval, IntervalArray, IntervalError, SQRT3_THIRD, ZERO
+from .interval import Interval, IntervalArray, IntervalError, SQRT3_THIRD, ZERO, _lanes
 from .jets import Jet4
 
 __all__ = ["Tolerance", "QuadratureResult", "NonEvaluable", "gl2_enclosure", "adaptive_integrate"]
@@ -161,15 +161,12 @@ def _node_sum(f, A, B, X):
         return h * (f(right) + f(left))
     # both nodes of n cells in one call on 2n lanes; a lane flagged at either
     # node flags its cell
-    n = X.lo.size
-    both = IntervalArray(
-        np.concatenate((right.lo, left.lo)), np.concatenate((right.hi, left.hi)), np.concatenate((X.err, X.err))
-    )
-    y = f(both)
+    n = X.err.size
+    y = f(_lanes(np.concatenate((right.e, left.e), axis=1), np.concatenate((X.err, X.err))))
     if not isinstance(y, IntervalArray):  # a constant integrand
         return h * (y + y)
     X.err |= y.err[:n] | y.err[n:]
-    return h * (IntervalArray(y.lo[:n], y.hi[:n], X.err) + IntervalArray(y.lo[n:], y.hi[n:], X.err))
+    return h * (_lanes(y.e[:, :n], X.err) + _lanes(y.e[:, n:], X.err))
 
 
 def _remainder(f, A, B, X):

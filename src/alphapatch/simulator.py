@@ -527,18 +527,23 @@ def ellipse_state(r1, r2, n):
         grid = np.arange(n) * (TWO_PI / n)
         pts = np.stack([r1 * np.cos(grid), r2 * np.sin(grid)], axis=1)
         return SimState(pts)
-    m = 64 * n
-    phi = np.arange(m + 1) * (TWO_PI / m)
-    sp = np.sqrt((r1 * np.sin(phi)) ** 2 + (r2 * np.cos(phi)) ** 2)
-    s = np.concatenate([[0.0], np.cumsum((sp[1:] + sp[:-1]) * 0.5 * (TWO_PI / m))])
-    total = s[-1]
-    targets = np.arange(n) * (total / n)
-    phi_t = np.interp(targets, s, phi)
-    # one Newton step against the exact speed polishes the interpolation
-    sp_t = np.sqrt((r1 * np.sin(phi_t)) ** 2 + (r2 * np.cos(phi_t)) ** 2)
-    s_t = np.interp(phi_t, phi, s)
-    phi_t = phi_t - (s_t - targets) / sp_t
-    pts = np.stack([r1 * np.cos(phi_t), r2 * np.sin(phi_t)], axis=1)
+    # radii near the double range overflow the arclength; the points are
+    # checked below, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = 64 * n
+        phi = np.arange(m + 1) * (TWO_PI / m)
+        sp = np.sqrt((r1 * np.sin(phi)) ** 2 + (r2 * np.cos(phi)) ** 2)
+        s = np.concatenate([[0.0], np.cumsum((sp[1:] + sp[:-1]) * 0.5 * (TWO_PI / m))])
+        total = s[-1]
+        targets = np.arange(n) * (total / n)
+        phi_t = np.interp(targets, s, phi)
+        # one Newton step against the exact speed polishes the interpolation
+        sp_t = np.sqrt((r1 * np.sin(phi_t)) ** 2 + (r2 * np.cos(phi_t)) ** 2)
+        s_t = np.interp(phi_t, phi, s)
+        phi_t = phi_t - (s_t - targets) / sp_t
+        pts = np.stack([r1 * np.cos(phi_t), r2 * np.sin(phi_t)], axis=1)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"ellipse r1={r1}, r2={r2} has an arclength that overflows")
     return SimState(pts)
 
 

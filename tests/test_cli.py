@@ -249,6 +249,8 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
         ["--set", "n=64.5"],
         ["--set", "n=131072"],
         ["--set", "n=1099511627776"],
+        ["--set", "r1=1e308"],
+        ["--set", "r2=1e308"],
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, monkeypatch, config):

@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from alphapatch import interval
 from alphapatch.jets import Jet4
 
 from lanes import assert_lanes_match, bits, lanes, single
@@ -366,3 +368,43 @@ def test_array_rejects_one_answer_methods(name):
         assert not hasattr(X, name)
         with pytest.raises(AttributeError, match=name):
             getattr(X, name)
+
+
+def _step_values(rng):
+    """±0, ±5e-324, the smallest normal and its neighbours, every power of
+    two in the double range with its two neighbours, ±max, and 10^6 random
+    finite bit patterns."""
+    normal = np.array([sys.float_info.min])
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    fixed = np.concatenate(
+        ([0.0, 5e-324, sys.float_info.max], normal, np.nextafter(normal, 0.0), np.nextafter(normal, 1.0), powers)
+    )
+    fixed = np.concatenate((fixed, np.nextafter(fixed, -np.inf), np.nextafter(fixed, np.inf)))
+    fixed = fixed[np.isfinite(fixed)]
+    patterns = rng.integers(-(2**63), 2**63, 10**6, dtype=np.int64, endpoint=False).view(np.float64)
+    return np.concatenate((fixed, -fixed, patterns[np.isfinite(patterns)]))
+
+
+def test_round_out_is_nextafter():
+    """The lanes' integer step gives np.nextafter's bits on both rows, and
+    flags exactly where the rounded lo is -inf or the rounded hi is +inf."""
+    rng = np.random.default_rng(18)
+    values = _step_values(rng)
+    for lo, hi in ((values, rng.permutation(values)), (rng.permutation(values), values)):
+        err = np.zeros(lo.size, bool)
+        e = interval._round_out(np.stack((-lo, hi)), err)
+        want_lo, want_hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        assert np.array_equal((-e[0]).view(np.int64), want_lo.view(np.int64))
+        assert np.array_equal(e[1].view(np.int64), want_hi.view(np.int64))
+        assert np.array_equal(err, (want_lo == -np.inf) | (want_hi == np.inf))
+        assert err.any()
+
+
+def test_round_out_flags_infinities_as_nextafter_does():
+    """Raw infinite endpoints (and NaN, which is never flagged) against the
+    same flag rule."""
+    ends = np.array([np.inf, -np.inf, np.nan, 1.0])
+    lo, hi = np.repeat(ends, ends.size), np.tile(ends, ends.size)
+    err = np.zeros(lo.size, bool)
+    interval._round_out(np.stack((-lo, hi)), err)
+    assert np.array_equal(err, (np.nextafter(lo, -np.inf) == -np.inf) | (np.nextafter(hi, np.inf) == np.inf))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import tracemalloc
@@ -489,3 +490,52 @@ def test_jet_batch_memory():
                 tracemalloc.stop()
         assert not cells[0].err.any(), regime
         assert peak < 2**20, regime
+
+
+# sha256 (first 16 hex digits) of one batch's enclosure lower ends, upper
+# ends and mask from _evaluate, per regime, lane count and kind, at C=0.15.
+# The 176 cells are evenly spaced on [1/128, pi] and the 510 on
+# [-pi, -1/128]: the smallest and the largest batch of the benchmark's sets,
+# one on each side of the window
+_BATCH_ALPHA = {
+    Regime.VORTEX: Interval(0.0),
+    Regime.SMALL_ALPHA: Interval(0.02, 0.0201),
+    Regime.BIG_ALPHA: Interval(0.5, 0.51),
+    Regime.VERY_BIG_ALPHA: Interval(1.96, 1.97),
+}
+_BATCH_BITS = {
+    (Regime.VORTEX, 176, "_node_sum"): "1165e98bcffb72d9",
+    (Regime.VORTEX, 176, "_remainder"): "47f45884dfdd7c35",
+    (Regime.VORTEX, 510, "_node_sum"): "02377d53b0554596",
+    (Regime.VORTEX, 510, "_remainder"): "b88b256bbc33c86c",
+    (Regime.SMALL_ALPHA, 176, "_node_sum"): "d154a775ad10bcb2",
+    (Regime.SMALL_ALPHA, 176, "_remainder"): "76389d1c6c16d11a",
+    (Regime.SMALL_ALPHA, 510, "_node_sum"): "c5cc46fbbbad2937",
+    (Regime.SMALL_ALPHA, 510, "_remainder"): "b5c8f94d926c40b4",
+    (Regime.BIG_ALPHA, 176, "_node_sum"): "0653f9b0044ce3be",
+    (Regime.BIG_ALPHA, 176, "_remainder"): "d3516d153360ab43",
+    (Regime.BIG_ALPHA, 510, "_node_sum"): "89b0db7fd4999818",
+    (Regime.BIG_ALPHA, 510, "_remainder"): "788a07552f53e6e9",
+    (Regime.VERY_BIG_ALPHA, 176, "_node_sum"): "4d6a35d35889cf75",
+    (Regime.VERY_BIG_ALPHA, 176, "_remainder"): "6ded2a0a2f5b1f5d",
+    (Regime.VERY_BIG_ALPHA, 510, "_node_sum"): "3969849e75c269ca",
+    (Regime.VERY_BIG_ALPHA, 510, "_remainder"): "8fb1e9936882530b",
+}
+
+
+@pytest.mark.parametrize("regime", list(_BATCH_ALPHA), ids=lambda r: r.value)
+def test_batch_frozen_bits(regime):
+    """One batch's node sums and remainders are bit for bit what they were
+    with separate lo and hi arrays rounded by np.nextafter."""
+    from alphapatch.pipeline import WINDOW_HALF
+
+    f = make_kt_integrand(IntegrandSpec(regime, _BATCH_ALPHA[regime], Bump(Interval.around(0.15))))
+    for lanes, (a, b) in ((176, (WINDOW_HALF, math.pi)), (510, (-math.pi, -WINDOW_HALF))):
+        edges = np.linspace(a, b, lanes + 1)
+        for kind in ("_node_sum", "_remainder"):
+            evaluate = getattr(quadrature, kind)
+            with np.errstate(all="ignore"):
+                elo, ehi, ok = quadrature._evaluate(evaluate, f, edges[:-1], edges[1:], np.ones(lanes, bool))
+            assert ok.all(), (lanes, kind)
+            digest = hashlib.sha256(elo.tobytes() + ehi.tobytes() + ok.tobytes()).hexdigest()[:16]
+            assert digest == _BATCH_BITS[regime, lanes, kind], (lanes, kind)

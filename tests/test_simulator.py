@@ -1,6 +1,8 @@
 import hashlib
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +105,16 @@ def test_ellipse_state_diagnostics():
     assert abs(d.area - 3 * math.pi) < 1e-8
     assert d.speed_variation <= 1e-5
     assert abs(d.min_curvature - 1.0 / 9.0) < 1e-6
+
+
+@pytest.mark.parametrize("r1, r2", [(1e308, 3.0), (1.0, 1e308)])
+def test_ellipse_state_rejects_overflowing_arclength(r1, r2):
+    """Radii whose arclength overflows raise a ValueError naming them, and
+    numpy warns about nothing on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"r1={r1}, r2={r2}")):
+            ellipse_state(r1, r2, 64)
 
 
 def test_circle_diagnostics():
