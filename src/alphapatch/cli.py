@@ -361,23 +361,25 @@ def _initial_state(cfgmap):
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def write_snapshots_csv(path, snapshots):
-    with open(path, "w") as fh:
+def write_snapshots_csv(fh, snapshots):
+    """Add the snapshots' rows to the open file fh, after the header if fh
+    is still empty."""
+    if fh.tell() == 0:
         fh.write("t,x_index,z1,z2\n")
-        for snap in snapshots:
-            for i, (z1, z2) in enumerate(snap.points):
-                fh.write(f"{snap.time:.10g},{i},{float(z1)!r},{float(z2)!r}\n")
+    for snap in snapshots:
+        for i, (z1, z2) in enumerate(snap.points):
+            fh.write(f"{snap.time:.10g},{i},{float(z1)!r},{float(z2)!r}\n")
 
 
-def write_diagnostics_csv(path, diags):
-    with open(path, "w") as fh:
+def write_diagnostics_csv(fh, diags):
+    """As write_snapshots_csv, one row per Diagnostics."""
+    if fh.tell() == 0:
         fh.write("t,min_curvature,area,arc_chord_min,speed_variation\n")
-        for d in diags:
-            fh.write(
-                f"{d.time:.10g},{d.min_curvature!r},{d.area!r},"
-                f"{d.arc_chord_min!r},{d.speed_variation!r}\n"
-            )
-    return path
+    for d in diags:
+        fh.write(
+            f"{d.time:.10g},{d.min_curvature!r},{d.area!r},"
+            f"{d.arc_chord_min!r},{d.speed_variation!r}\n"
+        )
 
 
 def cmd_simulate(args):
@@ -390,17 +392,25 @@ def cmd_simulate(args):
         print(exc, file=sys.stderr)
         return 2
     os.makedirs(args.out_dir, exist_ok=True)
-    halted = None
-    snapshots = []  # every snapshot reached, also when the run halts early
-    try:
-        sim.evolve(state, cfg, on_snapshot=snapshots.append)
-    except (sim.ArcChordCollapse, sim.StepSizeUnderflow) as exc:
-        halted = exc
-    diags = [sim.diagnostics(s) for s in snapshots]
     snap_path = os.path.join(args.out_dir, "snapshots.csv")
     diag_path = os.path.join(args.out_dir, "diagnostics.csv")
-    write_snapshots_csv(snap_path, snapshots)
-    write_diagnostics_csv(diag_path, diags)
+    diags = []
+    halted = None
+    with open(snap_path, "w") as snap_fh, open(diag_path, "w") as diag_fh:
+
+        def record(snap, arc_chord):
+            # each snapshot is on disk once evolve hands it over, so a run
+            # that halts, fails or is interrupted keeps every snapshot reached
+            diags.append(sim.diagnostics(snap, arc_chord))
+            write_snapshots_csv(snap_fh, [snap])
+            write_diagnostics_csv(diag_fh, diags[-1:])
+            snap_fh.flush()
+            diag_fh.flush()
+
+        try:
+            sim.evolve(state, cfg, on_snapshot=record)
+        except (sim.ArcChordCollapse, sim.StepSizeUnderflow) as exc:
+            halted = exc
     loss = next((d.time for d in diags if d.min_curvature < 0.0), None)
     if loss is not None:
         print(f"convexity lost by t = {loss:.6g}")

@@ -707,6 +707,18 @@ class IntervalArray:
     def __neg__(self):
         return _lanes(self.e[::-1], self.err, self.zero)
 
+    def join(self, other):
+        """The lanes of self, then those of other, on a fresh flag mask that
+        starts as both of theirs."""
+        return _lanes(np.concatenate((self.e, other.e), axis=1), np.concatenate((self.err, other.err)))
+
+    def split(self, err):
+        """The two halves of the lanes, each err.size long and both on the
+        flag mask err, which takes in the flags of either half."""
+        n = err.size
+        err |= self.err[:n] | self.err[n:]
+        return _lanes(self.e[:, :n], err), _lanes(self.e[:, n:], err)
+
     def __eq__(self, other):
         raise TypeError("IntervalArray.__eq__ needs one answer for all lanes; it is not supported")
 

@@ -91,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import Interval, IntervalArray, IntervalError, SQRT3_THIRD, ZERO, _lanes
+from .interval import Interval, IntervalArray, IntervalError, SQRT3_THIRD, ZERO
 from .jets import Jet4
 
 __all__ = ["Tolerance", "QuadratureResult", "NonEvaluable", "gl2_enclosure", "adaptive_integrate"]
@@ -161,12 +161,11 @@ def _node_sum(f, A, B, X):
         return h * (f(right) + f(left))
     # both nodes of n cells in one call on 2n lanes; a lane flagged at either
     # node flags its cell
-    n = X.err.size
-    y = f(_lanes(np.concatenate((right.e, left.e), axis=1), np.concatenate((X.err, X.err))))
+    y = f(right.join(left))
     if not isinstance(y, IntervalArray):  # a constant integrand
         return h * (y + y)
-    X.err |= y.err[:n] | y.err[n:]
-    return h * (_lanes(y.e[:, :n], X.err) + _lanes(y.e[:, n:], X.err))
+    at_right, at_left = y.split(X.err)
+    return h * (at_right + at_left)
 
 
 def _remainder(f, A, B, X):

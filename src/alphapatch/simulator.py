@@ -13,13 +13,22 @@ V_x = U theta_x - mean(U theta_x), which keeps an initially uniform
 parametrization uniform (the patch shape only depends on the normal part).
 
 The O(N^2) pair work (the kernel sum and the arc-chord minimum) runs ROWS
-rows at a time in two reused (ROWS, N) buffers, and each block is reduced as
-soon as it is filled, so no (N, N) array is ever made.  All derivatives a
-velocity call needs come from one rfft and one batched irfft with cached
-multipliers.  Up to N = 512 the results are bit-identical to full-matrix
-evaluation with one transform pair per derivative; for larger N, OpenBLAS
-may round a (ROWS, N) @ (N, 2) block product apart from the full product
-by a few 1e-15 of its largest entry.
+rows at a time and, where it can, only on the columns from the rows' first
+on: the upper triangle of the pair matrix, which is symmetric bit for bit.
+The arc-chord minimum always takes the triangle.  Up to N = 1024 the kernel
+sum does too: it keeps the tiles right of each block's diagonal tile (the
+N^2 / 4 entries it keeps at most at once, capped by KEPT_MAX at 2 MiB), and
+every later block fills the rest of its rows from their transposes, so each
+row is reduced whole, as soon as it is filled.  Larger grids evaluate the
+kernel on whole rows, so the pair work there needs only two (ROWS, N)
+blocks.  Every call at one N takes one allocation of the same size: the two
+blocks and, up to N = 1024, room for the kept tiles (1 MiB in all at
+N = 512, 3 MiB at N = 1024, 2 MiB at N = 2048); no (N, N) array is made.
+All derivatives a velocity call needs come from one rfft and one batched
+irfft with cached multipliers.  Up to N = 512 the results are bit-identical
+to full-matrix evaluation with one transform pair per derivative; for larger
+N, OpenBLAS may round a (ROWS, N) @ (N, 2) block product apart from the full
+product by a few 1e-15 of its largest entry.
 
 Runs are single-threaded and deterministic; independent runs can go in
 parallel freely.
@@ -38,7 +47,6 @@ __all__ = [
     "SimState",
     "ArcChordCollapse",
     "StepSizeUnderflow",
-    "spectral_derivative",
     "velocity",
     "evolve",
     "diagnostics",
@@ -60,9 +68,13 @@ NOISE_FLOOR = 1e-13
 # every derivative, as (strength, order): damps the Nyquist mode to ~2e-16
 # while leaving resolved modes essentially untouched
 FILTER = (36.0, 36)
-# rows per block of the O(N^2) pair work: each block lives in two (ROWS, N)
-# buffers, 1 MiB at N = 512, and is reduced before the next is filled
-ROWS = 128
+# rows per block of the O(N^2) pair work; 64 beats 32 and 128 at N = 512,
+# and at 128 the kernel sum's buffers and kept tiles would take 1.5 MiB
+ROWS = 64
+# most kernel entries the kernel sum keeps for later rows, 2 MiB: the N^2 / 4
+# of the upper triangle up to N = 1024; past it they would grow with N^2, so
+# larger grids take whole rows in a 2 ROWS N workspace
+KEPT_MAX = 1 << 18
 # largest grid size N; ellipse_state's 64 N-point grid then takes 32 MiB
 MAX_N = 65536
 
@@ -176,44 +188,65 @@ def _derivatives(values, orders, filter_spec):
     return np.fft.irfft(spec, n=n, axis=1)
 
 
-def spectral_derivative(values, order=1):
-    """Differentiate samples of a 2pi-periodic function on a uniform grid."""
-    return _derivatives(np.asarray(values, dtype=float), (order,), None)[0]
+def _pair_blocks(z, work, upper=True):
+    """|z_i - z_j|^2 for ROWS rows i at a time, with no (N, N) array: the
+    columns j from the block's first row on if upper, else all N.
 
-
-def _pair_blocks(z):
-    """|z_i - z_j|^2 for ROWS rows i at a time, with no (N, N) array.
-
-    Yields (rows, dist2, diag): the slice of i, a (rows, N) view of a buffer
-    that the next block overwrites, and a view of its i = j entries, which
-    are set to 1.  Each entry has the bits of the full-matrix computation.
+    work is a flat buffer of at least 2 h N entries, h = min(ROWS, N).
+    Yields (rows, dist2, diag): the slice of i, a C-contiguous view of
+    work[:h N] with one row per i that the next block overwrites, and a
+    view of its i = j entries, which are set to 1.  work[h N : 2 h N] is
+    free again once a block is yielded.  Each entry has the bits of the
+    full-matrix computation, and since x_i - x_j = -(x_j - x_i) exactly,
+    the entries upper leaves out are those of earlier blocks, transposed,
+    bit for bit.
     """
     n = z.shape[0]
     x, y = z[:, 0].copy(), z[:, 1].copy()
     height = min(ROWS, n)
-    # one allocation for both buffers: once freed it stays on glibc's heap
-    # (its mmap threshold rises to the freed size), so later calls reuse it
-    # instead of faulting in fresh pages; two separate 512 KiB buffers at
-    # N = 512 were returned to the system and faulted in on every call
-    dist2_buf, diff_buf = np.empty((2, height, n))
     for start in range(0, n, height):
         rows = slice(start, min(start + height, n))
-        dist2 = dist2_buf[: rows.stop - start]
-        diff = diff_buf[: rows.stop - start]
+        first = start if upper else 0
+        size = (rows.stop - start) * (n - first)
+        dist2 = work[:size].reshape(-1, n - first)
+        diff = work[height * n : height * n + size].reshape(dist2.shape)
         # x_i - x_j as a column copy, then a subtraction along contiguous
         # rows: numpy runs a subtraction from a broadcast column about 1.4x
-        # slower
+        # slower, and any of these on a view with gaps between its rows
+        # about 3x slower
         np.copyto(dist2, x[rows, None])
-        dist2 -= x
+        dist2 -= x[first:]
         dist2 *= dist2
         np.copyto(diff, y[rows, None])
-        diff -= y
+        diff -= y[first:]
         diff *= diff
         dist2 += diff
-        # entry (r, start + r) of a C-contiguous (rows, N) block
-        diag = dist2.reshape(-1)[start :: n + 1]
+        # entry (r, start - first + r) of a C-contiguous block
+        diag = work[start - first : size : n - first + 1]
         diag[...] = 1.0
         yield rows, dist2, diag
+
+
+def _workspace(n):
+    """(work, tiles): one buffer for every pair call at grid size N.
+
+    work starts with _pair_blocks' 2 h N entries, h = min(ROWS, N).  If the
+    kernel sum's kept tiles, at most N^2 / 4 entries, fit in KEPT_MAX,
+    tiles views the rest as a (half, blocks - half) grid of (h, h) tiles;
+    otherwise there is no rest and tiles is None.  Both pair calls take the
+    same size, so once freed it stays on glibc's heap (its mmap threshold
+    rises to the freed size) and the next call reuses it instead of
+    faulting in fresh pages; separate buffers of a few hundred KiB each
+    were returned to the system and faulted in on every call.
+    """
+    height = min(ROWS, n)
+    blocks = -(-n // height)
+    half = (blocks + 1) // 2
+    kept = half * (blocks - half) * height * height
+    if kept > KEPT_MAX:
+        return np.empty(2 * height * n), None
+    work = np.empty(2 * height * n + kept)
+    return work, work[2 * height * n :].reshape(half, blocks - half, height, height)
 
 
 @functools.lru_cache(maxsize=8)
@@ -244,23 +277,68 @@ def _log_defect(n):
 _ZETA3 = 1.2020569031595943  # zeta(3); zeta'(-2) = -zeta(3)/(4 pi^2)
 
 
+def _tile_slot(b, c, half):
+    """Slot of the tile that block b keeps for block c > b, in a
+    (half, blocks - half) grid.
+
+    The tile lives from block b to block c.  One with b < half <= c takes
+    slot (b, c - half).  While block k < half is made, the rows past k are
+    free, so one with c < half takes (c, b); from block k = half on, the
+    columns up to k - half are free, so one with b >= half takes
+    (c - half, b - half).
+    """
+    if b < half <= c:
+        return b, c - half
+    if c < half:
+        return c, b
+    return c - half, b - half
+
+
+def _whole_rows(kern, rows, work, tiles):
+    """The full (rows, N) kernel rows of an upper block kern.
+
+    Copies kern into the right of a row buffer in work's second half, fills
+    the columns before rows.start from the transposes of the tiles earlier
+    blocks kept, and keeps kern's own tiles right of its diagonal tile.
+    """
+    half, later, height = tiles.shape[:3]
+    start = rows.start
+    n, k = start + kern.shape[1], start // height
+    row = work[height * n : (height + len(kern)) * n].reshape(-1, n)
+    row[:, start:] = kern
+    for b in range(k):
+        tile = tiles[_tile_slot(b, k, half)]
+        row[:, b * height : (b + 1) * height] = tile[:, : len(row)].T
+    for c in range(k + 1, half + later):
+        cols = kern[:, (c - k) * height : (c - k + 1) * height]
+        tiles[_tile_slot(k, c, half)][: len(row), : cols.shape[1]] = cols
+    return row
+
+
 def _kernel_sum(z, zx, alpha):
     """The O(N^2) trapezoidal sum over j != i of the boundary integral.
 
     For alpha = 0 it is sum_j log|z_i - z_j| z_x(j); otherwise
-    sum_j K_ij (z_x(i) - z_x(j)) with K_ij = |z_i - z_j|^{-alpha}.  Each
-    block of rows is reduced as soon as it is filled.
+    sum_j K_ij (z_x(i) - z_x(j)) with K_ij = |z_i - z_j|^{-alpha}.  While
+    the kept tiles fit in KEPT_MAX (N <= 1024), the kernel is evaluated on
+    each block's columns j >= its first row only and _whole_rows rebuilds
+    the full rows; larger grids evaluate it on whole rows.  Either way every
+    row is reduced whole, as soon as it is filled, with the full-matrix bits.
     """
+    work, tiles = _workspace(z.shape[0])
     out = np.empty_like(zx)
-    for rows, kern, diag in _pair_blocks(z):
+    for rows, kern, diag in _pair_blocks(z, work, tiles is not None):
         if alpha == 0.0:
             np.log(kern, out=kern)
             kern *= 0.5
-            diag[...] = 0.0
-            out[rows] = kern @ zx
         else:
             np.power(kern, -alpha / 2.0, out=kern)
-            diag[...] = 0.0
+        diag[...] = 0.0
+        if tiles is not None:
+            kern = _whole_rows(kern, rows, work, tiles)
+        if alpha == 0.0:
+            out[rows] = kern @ zx
+        else:
             # sum_j K_ij (z_x(i) - z_x(j)) = (sum_j K_ij) z_x(i) - sum_j K_ij z_x(j):
             # a row sum and a matrix product, with no (N, N, 2) difference array
             out[rows] = kern.sum(1)[:, None] * zx[rows] - kern @ zx
@@ -379,12 +457,17 @@ def _chord_matrix(n):
 
 
 def arc_chord_min(state):
-    """min over i != j of |z_i - z_j| / |2 sin((x_i - x_j)/2)|."""
+    """min over i != j of |z_i - z_j| / |2 sin((x_i - x_j)/2)|.
+
+    Both factors are symmetric bit for bit, so the minimum over the upper
+    triangle is the minimum over all pairs, and it keeps a NaN of either
+    triangle.
+    """
     chord = _chord_matrix(state.n)
     best = np.inf
-    for rows, ratio, diag in _pair_blocks(state.points):
+    for rows, ratio, diag in _pair_blocks(state.points, _workspace(state.n)[0]):
         np.sqrt(ratio, out=ratio)
-        ratio /= chord[rows]
+        ratio /= chord[rows, rows.start :]
         diag[...] = np.inf
         best = np.minimum(best, ratio.min())  # keeps a NaN, as one full min would
     return float(best)
@@ -399,8 +482,11 @@ class Diagnostics:
     speed_variation: float
 
 
-def diagnostics(state):
-    """Curvature minimum, enclosed area, arc-chord minimum, speed variation."""
+def diagnostics(state, arc_chord=None):
+    """Curvature minimum, enclosed area, arc-chord minimum, speed variation.
+
+    arc_chord is the state's arc_chord_min, if the caller has it already.
+    """
     z = state.points
     zx, zxx = _derivatives(z, (1, 2), None)
     speed2 = np.einsum("ik,ik->i", zx, zx)
@@ -413,7 +499,7 @@ def diagnostics(state):
         time=state.time,
         min_curvature=float(kappa.min()),
         area=abs(area),
-        arc_chord_min=arc_chord_min(state),
+        arc_chord_min=arc_chord_min(state) if arc_chord is None else arc_chord,
         speed_variation=variation,
     )
 
@@ -453,21 +539,21 @@ def evolve(state, cfg, on_snapshot=None):
     arc-chord ratio drops below arc_chord_factor times its initial value,
     or :class:`StepSizeUnderflow` when the controller stalls.  Every
     snapshot, the last one at t_final included, is also passed to
-    ``on_snapshot`` when it is taken, so a caller keeps those taken before
-    a halt.
+    ``on_snapshot(snapshot, ratio)`` with its arc-chord minimum when it is
+    taken, so a caller keeps those taken before a halt.
     """
     state = state.copy()
     state.points = _noise_floor_filter(state.points)
-    initial_ratio = arc_chord_min(state)
-    threshold = cfg.arc_chord_factor * initial_ratio
+    ratio = arc_chord_min(state)
+    threshold = cfg.arc_chord_factor * ratio
     snapshots = []
 
-    def emit(snap):
+    def emit(snap, ratio):
         snapshots.append(snap)
         if on_snapshot is not None:
-            on_snapshot(snap)
+            on_snapshot(snap, ratio)
 
-    emit(state.copy())
+    emit(state.copy(), ratio)
 
     def rhs(points):
         return velocity(SimState(points), cfg)
@@ -488,14 +574,14 @@ def evolve(state, cfg, on_snapshot=None):
             if ratio < threshold:
                 raise ArcChordCollapse(t, ratio)
             if next_snap - 1e-12 <= t:
-                emit(SimState(z.copy(), t))
+                emit(SimState(z.copy(), t), ratio)
                 next_snap += cfg.snapshot_interval
         factor = 0.9 * (1.0 / max(err, 1e-12)) ** 0.2
         dt *= min(5.0, max(0.2, factor))
         if dt < MIN_STEP:
             raise StepSizeUnderflow(t, dt)
     if snapshots[-1].time < t - 1e-12:
-        emit(SimState(z.copy(), t))
+        emit(SimState(z.copy(), t), ratio)
     return snapshots
 
 

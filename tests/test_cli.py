@@ -293,7 +293,8 @@ def test_snapshots_csv_round_trips_points(tmp_path):
     snaps = [sim.ellipse_state(1.0, 3.0, 64), sim.bump_state(0.15, 64)]
     snaps[1].time = 0.5
     path = tmp_path / "snapshots.csv"
-    write_snapshots_csv(path, snaps)
+    with open(path, "w") as fh:
+        write_snapshots_csv(fh, snaps)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 64
@@ -318,7 +319,8 @@ def test_simulate_config_file(tmp_path, capsys):
 def test_simulate_halt_keeps_history(tmp_path, capsys, monkeypatch):
     def halting_evolve(state, cfg, on_snapshot=None):
         for t in (0.0, 0.1):
-            on_snapshot(sim.SimState(state.points, t))
+            snap = sim.SimState(state.points, t)
+            on_snapshot(snap, sim.arc_chord_min(snap))
         raise sim.ArcChordCollapse(0.15, 1e-6)
 
     monkeypatch.setattr(sim, "evolve", halting_evolve)
@@ -334,6 +336,30 @@ def test_simulate_halt_keeps_history(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["halt"]["reason"] == "ArcChordCollapse"
     assert manifest["halt"]["time"] == 0.15
+
+
+def test_simulate_writes_each_snapshot_when_it_is_taken(tmp_path, monkeypatch):
+    """An interrupted run leaves the header and every snapshot reached
+    before the interrupt in both files."""
+    def interrupted_evolve(state, cfg, on_snapshot=None):
+        snap = sim.SimState(state.points, 0.0)
+        on_snapshot(snap, sim.arc_chord_min(snap))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sim, "evolve", interrupted_evolve)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--set", "shape=circle", "--set", "n=64", "--out-dir", str(tmp_path)])
+    state = sim.circle_state(1.0, 64)
+    with open(tmp_path / "snapshots.csv") as fh:
+        snap_rows = list(csv.reader(fh))
+    assert snap_rows[0] == ["t", "x_index", "z1", "z2"]
+    assert [(float(r[2]), float(r[3])) for r in snap_rows[1:]] == [tuple(p) for p in state.points.tolist()]
+    with open(tmp_path / "diagnostics.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "min_curvature", "area", "arc_chord_min", "speed_variation"]
+    assert len(rows) == 2
+    assert float(rows[1][3]) == sim.diagnostics(state).arc_chord_min
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_every_solver_setting_is_a_config_key():

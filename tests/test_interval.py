@@ -350,6 +350,27 @@ def test_array_error_mask_sticks():
     assert Y.err.tolist() == [True, False]
 
 
+def test_array_join_and_split():
+    """join puts two arrays' lanes side by side on a fresh mask that starts
+    as both of theirs; split hands the halves back on a given mask, which
+    takes in a flag from either half.  Endpoints keep their bits, -0.0
+    included."""
+    right = lanes([Interval(-0.0, 1.0), Interval(2.0, 3.0)])
+    left = lanes([Interval(-4.0, -0.0), Interval(0.5, 0.75)])
+    left.err[0] = True
+    both = right.join(left)
+    assert [bits(both, i) for i in range(4)] == [bits(right, 0), bits(right, 1), bits(left, 0), bits(left, 1)]
+    assert both.err.tolist() == [False, False, True, False]
+    assert both.err is not right.err and both.err is not left.err
+    both.err[1] = True
+    err = np.zeros(2, bool)
+    first, second = both.split(err)
+    assert err.tolist() == [True, True]
+    assert first.err is err and second.err is err
+    assert [bits(first, i) for i in range(2)] == [bits(right, 0), bits(right, 1)]
+    assert [bits(second, i) for i in range(2)] == [bits(left, 0), bits(left, 1)]
+
+
 @pytest.mark.parametrize("name", ["half", "hull", "mid", "mag", "mig", "is_subset", "__eq__"])
 def test_array_rejects_one_answer_methods(name):
     """Lanes are not an Interval: the queries that would need one answer for

@@ -13,7 +13,6 @@ from alphapatch.simulator import (
     SimState,
     ArcChordCollapse,
     StepSizeUnderflow,
-    spectral_derivative,
     velocity,
     evolve,
     diagnostics,
@@ -29,7 +28,7 @@ GRID = np.arange(512) * (2 * math.pi / 512)
 
 def _normal_component(state, cfg):
     v = velocity(state, cfg)
-    zx = spectral_derivative(state.points, 1)
+    zx = simulator._derivatives(state.points, (1,), None)[0]
     speed = np.sqrt((zx**2).sum(1))
     normal = np.stack([-zx[:, 1], zx[:, 0]], 1) / speed[:, None]
     return (v * normal).sum(1)
@@ -37,14 +36,14 @@ def _normal_component(state, cfg):
 
 def test_spectral_derivative_sin():
     vals = np.sin(GRID)
-    d = spectral_derivative(vals, 1)
+    d = simulator._derivatives(vals, (1,), None)[0]
     assert np.abs(d - np.cos(GRID)).max() < 1e-12
 
 
 def test_spectral_derivative_constant():
     vals = np.full(512, 2.5)
     for order in (1, 2, 3):
-        assert np.abs(spectral_derivative(vals, order)).max() == 0.0
+        assert np.abs(simulator._derivatives(vals, (order,), None)[0]).max() == 0.0
 
 
 def test_spectral_derivative_filtered_single_mode():
@@ -84,7 +83,7 @@ def test_ellipse_not_rigid_rotation():
         z = state.points
         # rigid rotation field: Omega * (-z2, z1)
         rot = np.stack([-z[:, 1], z[:, 0]], 1)
-        zx = spectral_derivative(z, 1)
+        zx = simulator._derivatives(z, (1,), None)[0]
         speed = np.sqrt((zx**2).sum(1))
         normal = np.stack([-zx[:, 1], zx[:, 0]], 1) / speed[:, None]
         vn = (v * normal).sum(1)
@@ -128,8 +127,8 @@ def test_circle_diagnostics():
 def test_bump_state_curvature():
     st = bump_state(0.15, 512)
     z = st.points
-    zx = spectral_derivative(z, 1)
-    zxx = spectral_derivative(z, 2)
+    zx = simulator._derivatives(z, (1,), None)[0]
+    zxx = simulator._derivatives(z, (2,), None)[0]
     speed2 = (zx**2).sum(1)
     kappa = (-zxx[:, 0] * zx[:, 1] + zxx[:, 1] * zx[:, 0]) / speed2**1.5
     assert kappa.min() >= -1e-3
@@ -157,11 +156,18 @@ def test_evolve_snapshot_times():
 
 def test_every_snapshot_reaches_the_callback():
     """t_final is not a multiple of snapshot_interval, so the last snapshot
-    is taken after the loop; the callback still sees it."""
-    seen = []
-    snaps = evolve(circle_state(1.0, 64), SimConfig(alpha=1.0, t_final=0.25, snapshot_interval=0.1), seen.append)
+    is taken after the loop; the callback still sees it, with its arc-chord
+    minimum."""
+    seen, ratios = [], []
+
+    def record(snap, ratio):
+        seen.append(snap)
+        ratios.append(ratio)
+
+    snaps = evolve(circle_state(1.0, 64), SimConfig(alpha=1.0, t_final=0.25, snapshot_interval=0.1), record)
     times = [s.time for s in seen]
     assert times == [s.time for s in snaps]
+    assert ratios == [arc_chord_min(s) for s in snaps]
     assert np.allclose(times, [0.0, 0.1, 0.2, 0.25], rtol=0.0, atol=1e-12)
 
 
@@ -237,7 +243,7 @@ def test_row_block_edges_invisible(n, monkeypatch):
     """Blocks of 4 rows, of 24 (N = 64 ends in a ragged block of 16) and one
     block of all N rows give the default blocks' bits."""
     states = (ellipse_state(1.0, 3.0, n), bump_state(0.15, n))
-    zxs = [spectral_derivative(s.points, 1) for s in states]
+    zxs = [simulator._derivatives(s.points, (1,), None)[0] for s in states]
 
     def results():
         out = []
@@ -250,6 +256,45 @@ def test_row_block_edges_invisible(n, monkeypatch):
     for rows in (4, 24, n):
         monkeypatch.setattr(simulator, "ROWS", rows)
         assert results() == want, rows
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("rows", [4, 24, 64])
+def test_pair_blocks_cover_each_pair_once(n, rows, monkeypatch):
+    """The blocks hold |z_i - z_j|^2 for the columns j from their first row
+    on, once each, with the bits of the full (N, N) array and 1 on the
+    diagonal; 24 rows end in a ragged block at both N."""
+    monkeypatch.setattr(simulator, "ROWS", rows)
+    z = bump_state(0.15, n).points
+    dx = z[:, None, 0] - z[None, :, 0]
+    dy = z[:, None, 1] - z[None, :, 1]
+    full = dx * dx + dy * dy
+    np.fill_diagonal(full, 1.0)
+    starts, entries = [], 0
+    for block_rows, dist2, diag in simulator._pair_blocks(z, simulator._workspace(n)[0]):
+        starts.append(block_rows.start)
+        entries += dist2.size
+        assert dist2.tobytes() == full[block_rows, block_rows.start :].tobytes()
+        assert diag.size == block_rows.stop - block_rows.start
+    assert starts == list(range(0, n, rows))
+    assert entries == sum(min(rows, n - start) * (n - start) for start in starts)
+
+
+def test_kept_tiles_never_share_a_slot():
+    """Block k reads the tiles (b, k) and then keeps (k, c) for c > k; no
+    two tiles alive at once share a slot of the (half, blocks - half) grid."""
+    for blocks in range(1, 40):
+        half = (blocks + 1) // 2
+        held = {}
+        for k in range(blocks):
+            for b in range(k):
+                del held[b, k]
+            for c in range(k + 1, blocks):
+                slot = simulator._tile_slot(k, c, half)
+                assert 0 <= slot[0] < half and 0 <= slot[1] < blocks - half
+                assert slot not in held.values(), (blocks, k, c)
+                held[k, c] = slot
+        assert not held
 
 
 @pytest.mark.parametrize("call", ["velocity", "arc_chord_min"])
@@ -267,6 +312,45 @@ def test_pair_work_memory(call):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+
+@pytest.mark.parametrize("call", ["velocity", "arc_chord_min"])
+@pytest.mark.parametrize("n, mib", [(1024, 3.5), (4096, 5.0)])
+def test_pair_work_memory_on_both_sides_of_kept_max(call, n, mib):
+    """At N = 1024 the kept tiles (2 MiB, KEPT_MAX) and the two (ROWS, N)
+    blocks (1 MiB) fit under 3.5 MiB; at N = 4096 whole rows take only the
+    blocks (4 MiB), where the tiles would add 32 MiB."""
+    state = ellipse_state(1.0, 3.0, n)
+    args = (state, SimConfig(alpha=1.0)) if call == "velocity" else (state,)
+    fn = getattr(simulator, call)
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_kernel_sum_upper_triangle_and_whole_rows_agree(n, monkeypatch):
+    """The kernel sum takes the upper triangle up to N = 1024 and whole rows
+    above, and the two give the same bits at every size."""
+    assert (simulator._workspace(n)[1] is None) == (n > 1024)
+    state = bump_state(0.15, n)
+    zx = simulator._derivatives(state.points, (1,), None)[0]
+
+    def results():
+        return [simulator._kernel_sum(state.points, zx, a).tobytes() for a in (0.0, 1.0, 1.96)]
+
+    monkeypatch.setattr(simulator, "KEPT_MAX", 0)
+    assert simulator._workspace(n)[1] is None
+    whole = results()
+    monkeypatch.setattr(simulator, "KEPT_MAX", n * n)
+    assert simulator._workspace(n)[1] is not None
+    assert results() == whole
 
 
 def test_arc_chord_min_bitwise_and_cached_chords():
