@@ -12,22 +12,22 @@ enter through |z(x)-z(x-y)|^2 and the inner products.
 Each validation regime has one integrand:
 
 * vortex (alpha = 0): the log-free, integrated-by-parts kernel,
-* small alpha: the alpha-derivative of the scaled integrand (DI),
-* big and very big alpha: the scaled integrand itself.
+* small alpha (0 < alpha <= 0.04): the alpha-derivative of the scaled
+  integrand (DI),
+* big alpha (0.04 <= alpha < 2): the scaled integrand itself.
 
-The paper's very-big-alpha integrand adds tangent-kernel counter-terms
+The paper's integrand for alpha near 2 adds tangent-kernel counter-terms
 sgn(y) |2 tan(y/2)|^{1-alpha} times coefficient vectors built from the
 z-derivatives at x = pi.  Those vectors have exactly zero first components,
-so the projection sends every counter-term to zero and the very-big-alpha
-integrand equals the scaled one; it is evaluated as such.
+so the projection sends every counter-term to zero and that integrand
+equals the scaled one; the big-alpha regime therefore runs up to alpha = 2.
 ``test_counterterms_project_to_zero`` checks the identity against the
-term-by-term mpmath oracle.  The regimes still differ in their window
-residual.
+term-by-term mpmath oracle.
 
 The singularity window [-1/128, 1/128] is never evaluated pointwise: its
 contribution is bounded through mean-value substitutions
 |d^k z(a) - d^k z(b)| <= |a-b| |d^{k+1} z([a,b])| (second-order Taylor with
-the vanishing limit derivatives in the very-big-alpha regime), with the
+the vanishing limit derivatives in the big-alpha regime), with the
 bump-side derivative enclosures coming from the monotone hulls, and the
 resulting |y|-power and log-weighted integrals evaluated in closed form per
 regime.
@@ -58,7 +58,6 @@ from .signcheck import DEFAULT_MIN_WIDTH, SignTask, SignResult, validate_sign
 
 __all__ = [
     "ALPHA_CR",
-    "ALPHA_BR",
     "WINDOW_HALF",
     "Regime",
     "IntegrandSpec",
@@ -70,7 +69,6 @@ __all__ = [
 ]
 
 ALPHA_CR = 0.04
-ALPHA_BR = 1.95
 # the quadrature leaves out [-WINDOW_HALF, WINDOW_HALF]; singular_residual
 # bounds it through the hulls over the endpoint zones, so it is one zone wide
 WINDOW_HALF = EPS_ZONE
@@ -80,7 +78,7 @@ class Regime(Enum):
     VORTEX = "vortex"
     SMALL_ALPHA = "small_alpha"
     BIG_ALPHA = "big_alpha"
-    VERY_BIG_ALPHA = "very_big_alpha"
+    VERY_BIG_ALPHA = "very_big_alpha"  # never selected; perfbench times it as a regime
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,7 @@ _INTEGRANDS = {
     Regime.VORTEX: _vortex,
     Regime.SMALL_ALPHA: _small_alpha,
     Regime.BIG_ALPHA: _big_alpha,
-    Regime.VERY_BIG_ALPHA: _big_alpha,
+    Regime.VERY_BIG_ALPHA: _big_alpha,  # the big-alpha integrand, for perfbench
 }
 
 
@@ -326,7 +324,18 @@ def _alpha_coeff(z, a, s_w, c_w, h2, h3, h4):
 
 def _residual_half(spec, pt, zone):
     """Bound for the window half 0 < |y| <= WINDOW_HALF on which pi - y
-    sweeps ``zone``: curves.ZONE_RIGHT for y > 0, ZONE_LEFT for y < 0."""
+    sweeps ``zone``: curves.ZONE_RIGHT for y > 0, ZONE_LEFT for y < 0.
+
+    The big-alpha bound holds for every alpha in [ALPHA_CR, 2).  Every
+    derivative of the bump component vanishes at pi, so second-order Taylor
+    around pi gives |dzx_1| = |z1'(pi - y)| <= y^2/2 sup|z1'''| over the
+    zone, and |dzxx_1| and |dzxxx_1| likewise with z1'''' and z1^(5).  That
+    rests on the curve, not on alpha.  With |dz| >= sqrt(den) y, and the
+    inner products of dz, dzx and dzxx at most y^2 times their zone bounds,
+    every term of the scaled integrand is at most a constant times
+    y^{2-alpha}, and int_0^WINDOW_HALF y^{2-alpha} dy =
+    WINDOW_HALF^{3-alpha} / (3-alpha) is finite for every alpha < 3.
+    """
     a = spec.alpha
     s_w = _mag(pt.s)
     c_w = _mag(pt.c)
@@ -344,11 +353,6 @@ def _residual_half(spec, pt, zone):
         )
         bound = (s_w * zxt + c_w * zxxt) * WINDOW_HALF
         return _symmetric(bound.hi)
-    if spec.regime == Regime.BIG_ALPHA:
-        coeff, _, _ = _alpha_coeff(z, a, s_w, c_w, z.b[2], z.b[3], z.b[4])
-        two_m_a = 2.0 - a
-        power_int = Interval(WINDOW_HALF).pow(two_m_a) / two_m_a  # int_0^WINDOW_HALF y^{1-alpha}
-        return _symmetric((coeff * power_int).hi)
     if spec.regime == Regime.SMALL_ALPHA:
         if (z.pa().sqrt() * WINDOW_HALF).hi >= 1.0:
             raise ZoneViolation("log bound needs |dz| < 1 on the window")
@@ -369,9 +373,7 @@ def _residual_half(spec, pt, zone):
         log_at_edge = -((mroot * WINDOW_HALF).log())  # positive
         log_int = rp * (log_at_edge / two_m_a + 1.0 / two_m_a.sqr())
         return _symmetric((c1 * plain_int + c2 * log_int).hi)
-    # very big alpha: second-order Taylor around pi (the limit derivatives
-    # vanish) gives the extra power of y that keeps the bound finite:
-    # |dzx_1| <= y^2/2 * sup|z1'''|, and likewise one and two orders up
+    # big alpha: |dzx_1|, |dzxx_1| and |dzxxx_1| per power y^2
     coeff, _, _ = _alpha_coeff(z, a, s_w, c_w, z.b[3] * 0.5, z.b[4] * 0.5, z.b[5] * 0.5)
     three_m_a = 3.0 - a
     power_int = Interval(WINDOW_HALF).pow(three_m_a) / three_m_a  # int_0^WINDOW_HALF y^{2-alpha}

@@ -7,11 +7,13 @@ rely on, integrates the regime's integrand over [-pi, pi] outside the fixed
 singularity window [-1/128, 1/128] with validated quadrature, adds the window
 residual, and turns the total enclosure into a verdict.
 
-:func:`run_queue` cuts the initial sets at the regime boundaries before any
-work, so every queued set lies in one regime; a midpoint split keeps it
-there.  The parent owns the one queue and processes it in waves: each wave
-maps :func:`process` over the queued sets, and the halves of every
-indeterminate set wider than the split threshold make up the next wave.
+There are three regimes: the vortex point alpha = 0, small alpha in
+(0, ALPHA_CR] and big alpha in [ALPHA_CR, 2).  :func:`run_queue` cuts the
+initial sets at ``ALPHA_CR`` = 0.04 before any work, so every queued set
+lies in one regime; a midpoint split keeps it there.  The parent owns the
+one queue and processes it in waves: each wave maps :func:`process` over
+the queued sets, and the halves of every indeterminate set wider than the
+split threshold make up the next wave.
 Every verdict lands in one of three region files, so the output tiles the
 requested alpha range.  Verdicts depend only on their ParameterSet, so the
 number of worker processes changes nothing but wall-clock time; the rows are
@@ -33,7 +35,6 @@ from .quadrature import QuadratureResult, Tolerance, adaptive_integrate
 from .signcheck import DEFAULT_MIN_WIDTH, SignTask, validate_sign
 from .integrands import (
     ALPHA_CR,
-    ALPHA_BR,
     WINDOW_HALF,
     IntegrandSpec,
     Regime,
@@ -105,10 +106,11 @@ def _g17(x):
 
 
 def regime_select(alpha):
-    """Map an alpha interval to its validation regime.
+    """Map an alpha interval to its validation regime: vortex for [0, 0],
+    small alpha inside (0, ALPHA_CR] and big alpha inside [ALPHA_CR, 2).
 
-    Raises :class:`StraddlesBoundary` when the interval crosses 0, the
-    small/big split, the big/very-big split, or reaches 2.
+    Raises :class:`StraddlesBoundary` when the interval crosses 0 or the
+    small/big split, or reaches 2.
     """
     if alpha.lo < 0.0 or alpha.hi >= 2.0:
         raise StraddlesBoundary(f"alpha {alpha!r} outside [0, 2)")
@@ -116,10 +118,8 @@ def regime_select(alpha):
         return Regime.VORTEX
     if alpha.lo > 0.0 and alpha.hi <= ALPHA_CR:
         return Regime.SMALL_ALPHA
-    if alpha.lo >= ALPHA_CR and alpha.hi <= ALPHA_BR:
+    if alpha.lo >= ALPHA_CR:
         return Regime.BIG_ALPHA
-    if alpha.lo >= ALPHA_BR:
-        return Regime.VERY_BIG_ALPHA
     raise StraddlesBoundary(f"alpha {alpha!r} crosses a regime boundary")
 
 
@@ -177,10 +177,11 @@ def process(ps):
     quad = adaptive_integrate(f, [(WINDOW_HALF, p), (-p, -WINDOW_HALF)], ps.tol)
     total = quad.enclosure
     # the one-ulp slivers [math.pi, pi] and [-pi, -math.pi]: the integrand is
-    # regular there (x - y is near 0), in every regime.  The very-big-alpha
-    # counter-kernel sgn(y)/|2 tan(y/2)|^{alpha-1}, singular at y = pi, is not
-    # evaluated: its projection at x = pi is exactly zero, which
-    # test_counterterms_project_to_zero checks against the mpmath oracle
+    # regular there (x - y is near 0), in every regime.  The paper's
+    # counter-kernel for alpha near 2, sgn(y)/|2 tan(y/2)|^{alpha-1},
+    # singular at y = pi, is not evaluated: its projection at x = pi is
+    # exactly zero, which test_counterterms_project_to_zero checks against
+    # the mpmath oracle
     sliver_width = Interval(0.0, PI.hi - p)
     total = total + _sliver_bound(f, p, PI.hi, sliver_width)
     total = total + _sliver_bound(f, -PI.hi, -p, sliver_width)
@@ -205,22 +206,22 @@ def _split_alpha(ps):
 
 
 def _regime_pieces(ps):
-    """ps cut at every regime boundary strictly inside its alpha interval."""
-    ends = [ps.alpha.lo]
-    ends += [b for b in (ALPHA_CR, ALPHA_BR) if ps.alpha.lo < b < ps.alpha.hi]
-    ends.append(ps.alpha.hi)
-    return [replace(ps, alpha=Interval(a, b)) for a, b in zip(ends, ends[1:])]
+    """ps cut at ALPHA_CR if that lies strictly inside its alpha interval."""
+    lo, hi = ps.alpha.lo, ps.alpha.hi
+    if not lo < ALPHA_CR < hi:
+        return [ps]
+    return [replace(ps, alpha=Interval(lo, ALPHA_CR)), replace(ps, alpha=Interval(ALPHA_CR, hi))]
 
 
 def run_queue(initial, split_threshold=SPLIT_THRESHOLD, workers=1):
     """Process ParameterSets until classified.
 
-    The initial sets are first cut at ``ALPHA_CR`` and ``ALPHA_BR``; a set
-    that no regime covers then raises :class:`StraddlesBoundary` (a
-    ``ValueError``) before any work.  The parent processes the queue in
-    waves: one worker maps :func:`process` in this process, several map it
-    over a pool of at most one process per set.  The halves of an
-    indeterminate set wider than ``split_threshold`` join the next wave.
+    The initial sets are first cut at ``ALPHA_CR``; a set that no regime
+    covers then raises :class:`StraddlesBoundary` (a ``ValueError``) before
+    any work.  The parent processes the queue in waves: one worker maps
+    :func:`process` in this process, several map it over a pool of at most
+    one process per set.  The halves of an indeterminate set wider than
+    ``split_threshold`` join the next wave.
     Returns the verdict rows sorted by (phase, alpha.lo); they are the same
     for any number of workers, because verdicts depend only on their
     ParameterSet.

@@ -108,8 +108,9 @@ class SimConfig:
             raise ValueError("alpha must lie in [0, 2)")
         if not math.isfinite(self.jump):
             raise ValueError(f"jump {self.jump} must be finite")
-        if not (self.rk_abs_tol > 0 and self.rk_rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        # an infinite tolerance would accept every step, however wrong
+        if not (0 < self.rk_abs_tol < math.inf and 0 < self.rk_rel_tol < math.inf):
+            raise ValueError("rk_abs_tol and rk_rel_tol must be positive and finite")
         if not (0 < self.t_final < math.inf and self.snapshot_interval > 0):
             raise ValueError("t_final must be finite and positive, and snapshot_interval positive")
         if not (0.0 < self.arc_chord_factor < 1.0):

@@ -97,6 +97,38 @@ def test_certificate_csv_bytes(tmp_path, capsys, command):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# sha256 of the region files of the prove-point benchmark's two
+# prove-convexity commands, per phase: (alphas, positive, negative,
+# indeterminate)
+_REGION_DIGESTS = {
+    "0.15": (
+        ["0:0", "0.02:0.02", "1.0:1.0", "1.96:1.96"],
+        "ce2248293fd74679d2d98bf18a98e3ea2c2011604bf8ee3b474850f73cce1f2b",
+        "e833ca92864533b6609b4ab2d32e1b974759d0925facd1a526dc96d39948d209",
+        "7bf2477c3ba46880a9764d5c9dd0d33b1bf8a6f6b10f3a04c0def981b2e22d75",
+    ),
+    "0.45": (
+        ["0:0", "1.0:1.0"],
+        "8e532a23d484b377832d997ac263462c24142f51b91c3a5f4f84615f105b02ab",
+        "fa49711a8ddcf3c873d00c11cafe7cc2835951dc1dbbd102a40860d84215ba11",
+        "7bf2477c3ba46880a9764d5c9dd0d33b1bf8a6f6b10f3a04c0def981b2e22d75",
+    ),
+}
+
+
+@pytest.mark.parametrize("c_phase", list(_REGION_DIGESTS))
+def test_region_csv_bytes(tmp_path, capsys, c_phase):
+    """The point sets of each phase write these region files exactly; the
+    alpha = 1.96 row reads big_alpha."""
+    alphas, *digests = _REGION_DIGESTS[c_phase]
+    argv = ["prove-convexity", "--c-phase", c_phase]
+    for a in alphas:
+        argv += ["--alpha", a]
+    assert main([*argv, "--workers", "1", "--out-dir", str(tmp_path)]) == 0
+    for name, digest in zip(("positive.csv", "negative.csv", "indeterminate.csv"), digests):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_prove_rotation_rejects_bad_alpha(tmp_path, capsys):
     code = main(["prove-rotation", "--alpha", "2.5", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -179,6 +211,7 @@ def test_prove_convexity_requires_alpha(tmp_path):
         ["--alpha", "0:0", "--abs-tol", "inf"],
         ["--alpha", "0:0", "--rel-tol", "inf"],
         ["--full-sweep", "--sweep-step", "1e-300"],
+        ["--alpha", "0:0", "--split-threshold", "inf"],
     ],
 )
 def test_prove_convexity_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
@@ -251,6 +284,8 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
         ["--set", "n=1099511627776"],
         ["--set", "r1=1e308"],
         ["--set", "r2=1e308"],
+        ["--set", "rk_abs_tol=inf"],
+        ["--set", "rk_rel_tol=inf"],
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, monkeypatch, config):

@@ -3,20 +3,22 @@ import random
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, pi, quad
 
 from alphapatch.interval import Interval, DomainViolation, IntervalError, SignOutcome, PI
 from alphapatch.jets import Jet4
-from alphapatch.curves import Bump
+from alphapatch.curves import ZONE_LEFT, ZONE_RIGHT, Bump
 from alphapatch.integrands import (
     ALPHA_CR,
-    ALPHA_BR,
+    WINDOW_HALF,
     IntegrandSpec,
     Regime,
     make_kt_integrand,
     singular_residual,
     ellipse_rotation_integrand,
     ellipse_rotation_check,
+    _PointData,
+    _residual_half,
 )
 
 import oracles
@@ -31,7 +33,8 @@ def _spec(regime, alo, ahi=None, curve=C15):
 
 
 def test_regime_target_matching():
-    """Big and very big alpha share the scaled target; small alpha takes its
+    """Big alpha takes the scaled target up to alpha = 2, and the unselected
+    very-big member evaluates the same; small alpha takes its
     alpha-derivative; each regime checks its alpha."""
     y = Interval(1.3)
     big = make_kt_integrand(_spec(Regime.BIG_ALPHA, 1.97))(y)
@@ -41,7 +44,7 @@ def test_regime_target_matching():
     with pytest.raises(ValueError):
         IntegrandSpec.for_regime(Regime.VORTEX, Interval(0.5), C15)
     with pytest.raises(ValueError):
-        IntegrandSpec.for_regime(Regime.VERY_BIG_ALPHA, Interval(1.99, 2.0), C15)
+        IntegrandSpec.for_regime(Regime.BIG_ALPHA, Interval(1.99, 2.0), C15)
 
 
 def test_window_straddle_rejected():
@@ -55,7 +58,7 @@ def test_window_straddle_rejected():
 # frozen extended-precision display evaluations
 _FROZEN = [
     (Regime.BIG_ALPHA, 1.0, C45, 2.0, -0.04210135542083188496432),
-    (Regime.VERY_BIG_ALPHA, 1.9, C15, 2.0, -0.0563049956510282197581),
+    (Regime.BIG_ALPHA, 1.9, C15, 2.0, -0.0563049956510282197581),
 ]
 
 
@@ -76,19 +79,15 @@ def test_vortex_pair_sum_oracle():
     assert got.width() < 1e-10
 
 
-_TARGET_ORACLES = {
-    Regime.VORTEX: lambda zk, y, a: oracles.integrand_vortex(zk, y),
-    Regime.BIG_ALPHA: oracles.integrand_alpha,
-    Regime.SMALL_ALPHA: oracles.integrand_dalpha,
-    Regime.VERY_BIG_ALPHA: oracles.integrand_tilde_full,
-}
-
-_REGIME_ALPHAS = {
-    Regime.VORTEX: (0.0, 0.0),
-    Regime.SMALL_ALPHA: (0.005, ALPHA_CR),
-    Regime.BIG_ALPHA: (ALPHA_CR, ALPHA_BR),
-    Regime.VERY_BIG_ALPHA: (ALPHA_BR, 1.999),
-}
+# (regime, oracle, alpha range) per sample kind: above 1.95 the big-alpha
+# regime is checked against the paper's tilde integrand with its
+# counter-terms, which the projection sends to zero
+_TARGET_ORACLES = [
+    (Regime.VORTEX, lambda zk, y, a: oracles.integrand_vortex(zk, y), (0.0, 0.0)),
+    (Regime.BIG_ALPHA, oracles.integrand_alpha, (ALPHA_CR, 1.95)),
+    (Regime.SMALL_ALPHA, oracles.integrand_dalpha, (0.005, ALPHA_CR)),
+    (Regime.BIG_ALPHA, oracles.integrand_tilde_full, (1.95, 1.999)),
+]
 
 
 def test_oracle_containment_500_samples():
@@ -96,18 +95,16 @@ def test_oracle_containment_500_samples():
     500 random (target, alpha, y) samples."""
     mp.dps = 60
     rnd = random.Random(2024)
-    regimes = list(_TARGET_ORACLES)
     zks = {0.15: (C15, oracles.make_curve(mpf("0.15"))), 0.45: (C45, oracles.make_curve(mpf("0.45")))}
     checked = 0
     for i in range(500):
-        regime = regimes[i % 4]
-        a_lo, a_hi = _REGIME_ALPHAS[regime]
+        regime, oracle, (a_lo, a_hi) = _TARGET_ORACLES[i % 4]
         a = rnd.uniform(a_lo + 1e-3, a_hi - 1e-3) if regime != Regime.VORTEX else 0.0
         curve, zk = zks[rnd.choice((0.15, 0.45))]
         y = rnd.uniform(0.05, math.pi - 0.01) * rnd.choice((1.0, -1.0))
         f = make_kt_integrand(IntegrandSpec.for_regime(regime, Interval(a), curve))
         jet = f(Jet4.variable(Interval(y)))
-        want = _TARGET_ORACLES[regime](zk, mpf(repr(y)), mpf(repr(a)))
+        want = oracle(zk, mpf(repr(y)), mpf(repr(a)))
         assert mpf(jet.d0.lo) <= want <= mpf(jet.d0.hi), (regime, a, y)
         checked += 1
     assert checked == 500
@@ -116,9 +113,9 @@ def test_oracle_containment_500_samples():
 
 def test_counterterms_project_to_zero():
     """The tilde integrand minus the scaled one is the projected tangent
-    counter-terms, which vanish at x = pi: the very-big-alpha regime may
-    evaluate the scaled integrand.  Checked on the term-by-term mpmath
-    oracle."""
+    counter-terms, which vanish at x = pi: the big-alpha regime may
+    evaluate the scaled integrand up to alpha = 2.  Checked on the
+    term-by-term mpmath oracle."""
     mp.dps = 60
     try:
         for c in ("0.15", "0.45"):
@@ -136,8 +133,7 @@ def test_counterterms_project_to_zero():
 def test_dalpha_matches_alpha_derivative():
     """Central difference of the plain target in alpha lies inside the
     DI enclosure (pointwise in y), in the small-alpha range and across the
-    big and very-big ones; the enclosure also contains the mpmath oracle of
-    DI."""
+    big one; the enclosure also contains the mpmath oracle of DI."""
     h = 1e-4
     y = Interval(1.3)
     zk = oracles.make_curve(mpf("0.15"))
@@ -177,7 +173,7 @@ def test_residual_negligible_all_regimes():
         (Regime.VORTEX, Interval(0.0)),
         (Regime.SMALL_ALPHA, Interval(0.02, 0.0201)),
         (Regime.BIG_ALPHA, Interval(1.0, 1.0001)),
-        (Regime.VERY_BIG_ALPHA, Interval(1.96, 1.9601)),
+        (Regime.BIG_ALPHA, Interval(1.96, 1.9601)),
     ]:
         for curve in (C15, C45):
             spec = IntegrandSpec.for_regime(regime, a, curve)
@@ -188,24 +184,79 @@ def test_residual_negligible_all_regimes():
 
 
 # singular_residual half-widths, float.hex, per (regime, alpha band):
-# (C = 0.15, C = 0.45)
+# (C = 0.15, C = 0.45).  The big-alpha rows are the second-order bound, the
+# one bound for every alpha in [ALPHA_CR, 2)
 _RESIDUAL_BITS = {
     (Regime.VORTEX, 0.0, 0.0): ("0x1.e096c238026e7p-251", "0x1.b7f3d2ae30fdbp-251"),
     (Regime.SMALL_ALPHA, 0.02, 0.0201): ("0x1.110f3bd5aeea9p-241", "0x1.fb1970ea62e2dp-242"),
-    (Regime.BIG_ALPHA, 1.0, 1.0001): ("0x1.71db85b85554dp-236", "0x1.725b873511339p-236"),
-    (Regime.VERY_BIG_ALPHA, 1.96, 1.9601): ("0x1.beb5895634cedp-223", "0x1.e9fb129785125p-223"),
+    (Regime.BIG_ALPHA, 1.0, 1.0001): ("0x1.16d2f8e37f975p-230", "0x1.173380825df5fp-230"),
+    (Regime.BIG_ALPHA, 1.96, 1.9601): ("0x1.beb5895634cedp-223", "0x1.e9fb129785125p-223"),
 }
 
 
 def test_residual_frozen_bits():
-    """The window residual is symmetric and bit-for-bit what it was when the
-    four regimes' bounds were first certified."""
+    """The window residual is symmetric and bit-for-bit what it was when
+    each regime's bound was first certified."""
     for (regime, alo, ahi), bits in _RESIDUAL_BITS.items():
         for curve, hex_hi in zip((C15, C45), bits):
             spec = _spec(regime, alo, ahi, curve)
             res = singular_residual(spec)
             hi = float.fromhex(hex_hi)
             assert (res.lo, res.hi) == (-hi, hi), (regime, curve)
+
+
+def _window_half_integral(f, sign):
+    """The oracle's integral over the window half of ``sign``, from 0 to
+    sign * WINDOW_HALF.  Nearly all of it lies within a few percent of the
+    window's edge, where the integrand falls like e^{-pi/(2|y|)}; in
+    t = 1/|y| that is a plain exponential, so the edge part is integrated
+    in t and the inner [0, 1/1024] in y.  On either half, y = sign / t
+    maps t from 128 up to y from sign * WINDOW_HALF to 0, with
+    dy = sign * dt / t^2."""
+    inner = quad(lambda y: f(sign * y), [0, mpf(1) / 1024], method="gauss-legendre")
+    edge = quad(lambda t: f(sign / t) / t**2, [128, 132, 136, 144, 160, 1024], method="gauss-legendre")
+    return inner + edge
+
+
+def test_residual_contains_oracle_window_integral():
+    """The big-alpha window residual contains the mpmath oracle's integral
+    of the scaled integrand over [-WINDOW_HALF, WINDOW_HALF], split at 0,
+    from alpha = 0.05 to 1.99 in both phases, and so does each half bound.
+
+    The bump derivatives come in closed form (``oracles.z1_deriv_closed``):
+    at the window's edge they are 1e-83 to 1e-74, below what the numerical
+    differentiation of 2 e^g - 1 resolves at the working precision.  The
+    closed form is checked against that differentiation where it resolves
+    them.  Each half is integrated divided by its half bound, so mpmath's
+    absolute tolerance, about 1e-15 at 15 digits, is relative to the bound;
+    the halves nearly cancel, and their sum is still resolved to about
+    three digits."""
+    assert WINDOW_HALF == 1.0 / 128.0  # the t-grid below starts at 1/WINDOW_HALF
+    try:
+        mp.dps = 100
+        for u in (pi - mpf(1) / 128, -pi + mpf(1) / 128, mpf("0.7")):
+            for k in (1, 2, 3):
+                closed, numeric = oracles.z1_deriv_closed(u, k), oracles.z1_deriv(u, k)
+                assert abs(closed - numeric) <= mpf("1e-20") * abs(closed), (u, k)
+        mp.dps = 15
+        for c, curve in (("0.15", C15), ("0.45", C45)):
+            zk = oracles.make_curve(mpf(c), oracles.z1_deriv_closed)
+            pt = _PointData(curve.c_phase)
+            for a in ("0.05", "0.5", "1", "1.5", "1.94", "1.99"):
+                spec = IntegrandSpec(Regime.BIG_ALPHA, Interval(float(a)), curve)
+                total = mpf(0)
+                for sign, zone in ((1, ZONE_RIGHT), (-1, ZONE_LEFT)):
+                    bound = mpf(_residual_half(spec, pt, zone).hi)
+                    f = lambda y: oracles.integrand_alpha(zk, y, mpf(a)) / bound
+                    ratio = _window_half_integral(f, sign)
+                    assert abs(ratio) <= 1, (c, a, sign, ratio)
+                    total += ratio * bound
+                res = singular_residual(spec)
+                assert res.lo <= total <= res.hi, (c, a, total, res)
+                # resolved: far above the halves' quadrature error
+                assert abs(total) > mpf("1e-12") * res.hi, (c, a, total, res)
+    finally:
+        mp.dps = 30
 
 
 def test_ellipse_rotation_integrand_endpoints():
@@ -249,8 +300,8 @@ _VALUE_SLOT_BANDS = [
     (Regime.SMALL_ALPHA, 0.02, 0.0201),
     (Regime.BIG_ALPHA, 1.0, 1.0),
     (Regime.BIG_ALPHA, 1.0, 1.0001),
-    (Regime.VERY_BIG_ALPHA, 1.96, 1.96),
-    (Regime.VERY_BIG_ALPHA, 1.96, 1.9601),
+    (Regime.BIG_ALPHA, 1.96, 1.96),
+    (Regime.BIG_ALPHA, 1.96, 1.9601),
 ]
 
 

@@ -25,11 +25,11 @@ def test_regime_select():
     assert regime_select(Interval(0.0)) == Regime.VORTEX
     assert regime_select(Interval(0.01, 0.02)) == Regime.SMALL_ALPHA
     assert regime_select(Interval(0.05, 1.9)) == Regime.BIG_ALPHA
-    assert regime_select(Interval(1.96, 1.99)) == Regime.VERY_BIG_ALPHA
+    # one regime from ALPHA_CR up to 2: no cut at 1.95
+    assert regime_select(Interval(1.96, 1.99)) == Regime.BIG_ALPHA
+    assert regime_select(Interval(1.9, 1.96)) == Regime.BIG_ALPHA
     with pytest.raises(StraddlesBoundary):
         regime_select(Interval(0.03, 0.05))
-    with pytest.raises(StraddlesBoundary):
-        regime_select(Interval(1.9, 1.96))
     with pytest.raises(StraddlesBoundary):
         regime_select(Interval(0.0, 0.01))
     with pytest.raises(StraddlesBoundary):
@@ -72,21 +72,23 @@ def test_run_queue_empty():
 
 
 def test_run_queue_splits_straddling_interval():
-    # [1.94, 1.96] crosses the big/very-big boundary and must be split
+    # [0.03, 0.05] crosses the small/big boundary and must be cut there;
+    # [1.94, 1.96] lies in the big regime and stays one set.  The threshold
+    # is wider than every piece, so no piece is split further
+    tol = Tolerance(1e-3, 1e-3, 11)
     rows = run_queue(
-        [ParameterSet.for_phase(1.94, 1.96, 0.15, tol=Tolerance(1e-3, 1e-3, 11))],
-        split_threshold=5e-6,
+        [
+            ParameterSet.for_phase(0.03, 0.05, 0.15, tol=tol),
+            ParameterSet.for_phase(1.94, 1.96, 0.15, tol=tol),
+        ],
+        split_threshold=0.05,
     )
-    assert len(rows) == 2  # split exactly at the regime boundary
-    assert all(v.outcome == SignOutcome.ALL_POSITIVE for v in rows)
-    assert {v.regime for v in rows} == {Regime.BIG_ALPHA, Regime.VERY_BIG_ALPHA}
-    lo = min(v.ps.alpha.lo for v in rows)
-    hi = max(v.ps.alpha.hi for v in rows)
-    assert lo == 1.94 and hi == 1.96
-    # rows tile the initial interval without gaps
-    spans = sorted((v.ps.alpha.lo, v.ps.alpha.hi) for v in rows)
-    for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
-        assert ahi == blo
+    assert [(v.ps.alpha.lo, v.ps.alpha.hi, v.regime) for v in rows] == [
+        (0.03, 0.04, Regime.SMALL_ALPHA),
+        (0.04, 0.05, Regime.BIG_ALPHA),
+        (1.94, 1.96, Regime.BIG_ALPHA),
+    ]
+    assert rows[-1].outcome == SignOutcome.ALL_POSITIVE
 
 
 def test_region_files_roundtrip(tmp_path):
@@ -145,10 +147,10 @@ def _row_bits(v):
 
 
 def test_worker_sharding_matches_sequential():
-    # [1.949, 1.951] is cut at ALPHA_BR before any work; [0.02, 0.021] is
+    # [0.03995, 0.04005] is cut at ALPHA_CR before any work; [0.02, 0.021] is
     # indeterminate at this tolerance, so its halves run in a second wave
     initial = [
-        ParameterSet.for_phase(1.949, 1.951, 0.15, tol=Tolerance(1e-2, 1e-2)),
+        ParameterSet.for_phase(0.03995, 0.04005, 0.15, tol=Tolerance(1e-2, 1e-2)),
         ParameterSet.for_phase(0.02, 0.021, 0.15, tol=Tolerance(1e-3, 1e-3)),
     ]
     seq = run_queue(initial, split_threshold=1e-4, workers=1)
@@ -156,8 +158,8 @@ def test_worker_sharding_matches_sequential():
     assert [(v.ps.alpha.lo, v.ps.alpha.hi) for v in seq] == [
         (0.02, 0.0205),
         (0.0205, 0.021),
-        (1.949, 1.95),
-        (1.95, 1.951),
+        (0.03995, 0.04),
+        (0.04, 0.04005),
     ]
     assert [_row_bits(v) for v in seq] == [_row_bits(v) for v in par]
 
