@@ -16,6 +16,7 @@ text both in files and on the command line, hashed canonically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -388,6 +389,7 @@ def cmd_simulate(args):
         cfgmap = load_sim_config(args.config, args.set or [])
         state = _initial_state(cfgmap)
         cfg = sim.SimConfig(alpha=cfgmap["alpha"], **{key: cfgmap[key] for key in _SOLVER_KEYS})
+        cfg.require_kept_points(state.n)
     except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -396,11 +398,15 @@ def cmd_simulate(args):
     diag_path = os.path.join(args.out_dir, "diagnostics.csv")
     diags = []
     halted = None
+    run_stats = None
     with open(snap_path, "w") as snap_fh, open(diag_path, "w") as diag_fh:
 
-        def record(snap, arc_chord):
+        def record(snap, arc_chord, stats=None):
             # each snapshot is on disk once evolve hands it over, so a run
-            # that halts, fails or is interrupted keeps every snapshot reached
+            # that halts, fails or is interrupted keeps every snapshot reached;
+            # stats goes on counting until evolve returns or halts
+            nonlocal run_stats
+            run_stats = stats
             diags.append(sim.diagnostics(snap, arc_chord))
             write_snapshots_csv(snap_fh, [snap])
             write_diagnostics_csv(diag_fh, diags[-1:])
@@ -420,7 +426,8 @@ def cmd_simulate(args):
     if halted is not None:
         halt = {"reason": type(halted).__name__, "time": halted.time, "message": str(halted)}
     manifest = write_manifest(
-        args.out_dir, "simulate", cfgmap, [snap_path, diag_path], started, halt=halt
+        args.out_dir, "simulate", cfgmap, [snap_path, diag_path], started, halt=halt,
+        solver=None if run_stats is None else dataclasses.asdict(run_stats),
     )
     print(f"snapshots: {snap_path}\ndiagnostics: {diag_path}\nmanifest: {manifest}")
     if halted is not None:

@@ -4,13 +4,39 @@ The boundary is a closed curve sampled at N uniform parameter values.
 Spatial derivatives are spectral (FFT multiplication by (ik)^order with an
 optional exponential filter), the boundary integral is a trapezoidal sum
 over the periodic grid with the singular self-term omitted (its symmetric
-limit vanishes for alpha < 2), and time stepping is an embedded
-Runge-Kutta-Fehlberg 4(5) pair with the usual step-size controller.
+limit vanishes for alpha < 2), and time stepping is an embedded pair of
+exponential integrators under the usual step-size controller.
 
 A tangential velocity component is added so that d|z_x|/dt is spatially
 constant: with normal speed U and tangent angle theta, V solves
 V_x = U theta_x - mean(U theta_x), which keeps an initially uniform
 parametrization uniform (the patch shape only depends on the normal part).
+
+The stiff part of the velocity is its normal dispersion.  The normal
+response to a normal perturbation of wavenumber k grows like k^1.05,
+k^1.21 and k^1.55 at alpha = 0.5, 1 and 1.5 (666 at k = 200 for alpha = 1,
+N = 512), and an explicit step is held at |lambda| dt of about 3 whatever
+the tolerance.  So each step freezes A = n0 Omega n0^T at its start, in the
+frame of the unit normal n0 from the filtered z_x, and integrates
+u' = A u + N(u) with two fourth-order exponential Runge-Kutta methods that
+share their first two stages: Cox-Matthews' ETDRK4 (J. Comput. Phys. 176
+(2002) 430-455) and Krogstad's ETDRK4-B (J. Comput. Phys. 203 (2005)
+72-88).  Krogstad's solution is propagated, and its difference from
+Cox-Matthews' drives the controller.
+- Omega is s^(-alpha) Omega_1, with s the mean |z_x|: velocity(R z) =
+  R^(1 - alpha) velocity(z).  Omega_1 is the symbol of the discrete
+  velocity linearised at the unit circle with the same N, alpha and jump,
+  taken once per (N, alpha, jump) by central differences.
+- Because n0 . n0 = 1, every g(hA) is exact and costs two FFTs.
+- The estimate only sees error terms that involve A: the two methods
+  coincide as h Omega -> 0, and with A = 0 both are classical RK4.
+- Where the dispersion is weak the pair can cost more than RKF45.  In
+  velocity calls per run (six per attempted step), on the 1:3 ellipse to
+  t = 0.3 it took 366 against RKF45's 288 at N = 512, alpha = 0, and
+  360/126/108 against 138/48/54 at N = 128, alpha = 0/0.02/0.5.  It took
+  306 against 660 on the N = 512 bump at alpha = 1 to t = 0.3, and 294
+  against 600 on the N = 512 ellipse at alpha = 1 to t = 1.
+RKF45 stays as the reference stepper, _rkf45_step.
 
 The O(N^2) pair work (the kernel sum and the arc-chord minimum) runs ROWS
 rows at a time and, where it can, only on the columns from the rows' first
@@ -49,6 +75,7 @@ __all__ = [
     "StepSizeUnderflow",
     "velocity",
     "evolve",
+    "RunStats",
     "diagnostics",
     "Diagnostics",
     "circle_state",
@@ -77,6 +104,13 @@ ROWS = 64
 KEPT_MAX = 1 << 18
 # largest grid size N; ellipse_state's 64 N-point grid then takes 32 MiB
 MAX_N = 65536
+# most snapshot points a run keeps: evolve holds every snapshot, 16 bytes a
+# point, so 2^22 points take 64 MiB, and snapshots.csv about 200 MB
+MAX_KEPT_POINTS = 1 << 22
+# step of the central differences that take the stiff symbol at the unit
+# circle; at N = 512, steps of 1e-5 and 1e-7 move it by under 5e-7 of its
+# largest entry
+SYMBOL_STEP = 1e-6
 
 
 class ArcChordCollapse(RuntimeError):
@@ -115,6 +149,17 @@ class SimConfig:
             raise ValueError("t_final must be finite and positive, and snapshot_interval positive")
         if not (0.0 < self.arc_chord_factor < 1.0):
             raise ValueError("arc_chord_factor must lie in (0, 1)")
+
+    def require_kept_points(self, n):
+        """Reject a run at grid size n whose snapshots would hold more than
+        MAX_KEPT_POINTS points: the one at t = 0, one per interval, and one
+        at t_final."""
+        count = self.t_final / self.snapshot_interval + 2.0
+        if count * n > MAX_KEPT_POINTS:
+            raise ValueError(
+                f"about {count:.3g} snapshots of {n} points exceed the {MAX_KEPT_POINTS} kept points;"
+                " raise snapshot_interval"
+            )
 
 
 @dataclass
@@ -354,8 +399,13 @@ def velocity(state, cfg):
     period integrals (see _even_defect), which restores better-than-h^3
     convergence without touching the O(N^2) kernel sum.
     """
-    z = state.points
-    n = state.n
+    return _velocity(state.points, cfg)
+
+
+def _velocity(z, cfg):
+    """velocity of the (N, 2) points z; the internal entry point that the
+    stiff symbol takes, so that only evolve's stages go through velocity."""
+    n = z.shape[0]
     h = TWO_PI / n
     orders = (1, 2, 3) if cfg.alpha == 0.0 else (1, 2, 3, 4, 5)
     derivs = _derivatives(z, orders, FILTER)
@@ -519,7 +569,9 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-def _rkf45_step(z, dt, rhs):
+def _rkf45_step(z, dt, rhs, cfg):
+    """RKF45 step: (4th-order solution, 5th-order solution).  The reference
+    stepper; cfg is unused."""
     ks = []
     for stage in range(6):
         acc = z
@@ -532,17 +584,173 @@ def _rkf45_step(z, dt, rhs):
     return z4, z5
 
 
+@functools.lru_cache(maxsize=8)
+def _normal_symbol(n, alpha, jump):
+    """Omega_1(k), k = 0 .. N/2: the symbol of the discrete velocity's normal
+    response to a normal perturbation, linearised at the unit circle; read-only.
+
+    The grid circle is invariant under a shift by one node, so the response
+    is a circulant matrix: the central difference of the response to a push
+    of node 0 is its first column, and the rfft of that column its symbol.
+    The two evaluations take _velocity, not velocity.
+    """
+    circle = circle_state(1.0, n).points
+    normal = -circle  # [-t_y, t_x] for the counterclockwise circle
+    cfg = SimConfig(alpha=alpha, jump=jump)
+    push = np.zeros_like(circle)
+    push[0] = SYMBOL_STEP * normal[0]
+    diff = _velocity(circle + push, cfg) - _velocity(circle - push, cfg)
+    symbol = np.fft.rfft(np.einsum("ik,ik->i", diff, normal) / (2.0 * SYMBOL_STEP))
+    symbol.flags.writeable = False
+    return symbol
+
+
+def _phis(z):
+    """phi_1, phi_2 and phi_3 at the complex array z, shape (3,) + z.shape.
+
+    phi_k(z) = sum_j z^j / (j + k)!.  For |z| >= 1 they come from
+    phi_1 = expm1(z) / z and phi_(k+1) = (phi_k - 1/k!) / z, where no
+    division magnifies an error.  Below, phi_3 is its series, whose 20 terms
+    leave a remainder under 1/22!, and phi_(k) = 1/k! + z phi_(k+1), where
+    nothing cancels.
+    """
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1.0
+    big = np.where(small, 1.0, z)
+    phi1 = np.expm1(big) / big
+    phi2 = (phi1 - 1.0) / big
+    phi3 = (phi2 - 0.5) / big
+    tiny = np.where(small, z, 0.0)
+    series = np.zeros_like(tiny)
+    for j in range(19, -1, -1):
+        series = series * tiny + 1.0 / math.factorial(j + 3)
+    series2 = 0.5 + tiny * series
+    return np.stack([
+        np.where(small, 1.0 + tiny * series2, phi1),
+        np.where(small, series2, phi2),
+        np.where(small, series, phi3),
+    ])
+
+
+def _frame(z, cfg):
+    """(n0, Omega): the unit normal of z from its filtered z_x, and the
+    symbol of A = n0 Omega n0^T, Omega = s^-alpha Omega_1 with s the mean
+    |z_x|, since velocity(R z) = R^(1 - alpha) velocity(z)."""
+    zx = _derivatives(z, (1,), FILTER)[0]
+    speed = np.sqrt(np.einsum("ik,ik->i", zx, zx))
+    normal = np.stack([-zx[:, 1], zx[:, 0]], axis=1) / speed[:, None]
+    return normal, speed.mean() ** -cfg.alpha * _normal_symbol(z.shape[0], cfg.alpha, cfg.jump)
+
+
+def _linear_sum(normal, terms):
+    """sum of g(A) w over terms (g, w), A = n0 Omega n0^T.
+
+    g holds g(Omega) per rfft mode with g(0) appended.  Since n0 . n0 = 1,
+    g(A) w = g(0) w + n0 irfft((g(Omega) - g(0)) rfft(n0 . w)), exactly.
+    """
+    flat = sum(g[-1].real * w for g, w in terms)
+    spec = sum((g[:-1] - g[-1]) * np.fft.rfft(np.einsum("ik,ik->i", normal, w)) for g, w in terms)
+    return flat + normal * np.fft.irfft(spec, n=normal.shape[0])[:, None]
+
+
+def _etdrk4_step(z, dt, rhs, cfg):
+    """One step of the exponential pair: (Krogstad's, Cox-Matthews').
+
+    u' = A u + N(u) with N = rhs - A and A = n0 Omega n0^T frozen at z (see
+    _frame).  Both schemes take a = e^(hA/2) u + (h/2) phi_1(hA/2) N(u).
+    Cox-Matthews goes on through b = e^(hA/2) u + (h/2) phi_1(hA/2) N(a) and
+    c = e^(hA/2) a + (h/2) phi_1(hA/2) (2 N(b) - N(u)); Krogstad's ETDRK4-B
+    through b_K = e^(hA/2) u + h[(phi_1/2 - phi_2) N(u) + phi_2 N(a)] at hA/2
+    and c_K = e^(hA) u + h[(phi_1 - 2 phi_2) N(u) + 2 phi_2 N(b_K)] at hA.
+    Both end in e^(hA) u + h[(phi_1 - 3 phi_2 + 4 phi_3) N(u)
+    + (2 phi_2 - 4 phi_3) (N(a) + N(b)) + (4 phi_3 - phi_2) N(c)] at hA:
+    six rhs calls.
+    """
+    normal, omega = _frame(z, cfg)
+    # every multiplier holds its value per rfft mode, then its value at 0
+    lin = np.append(omega, 0.0)
+    e_half, e_full = np.exp(0.5 * dt * lin), np.exp(dt * lin)
+    h1, h2, _ = 0.5 * dt * _phis(0.5 * dt * lin)  # (h/2) phi_k(hA/2)
+    f1, f2, f3 = dt * _phis(dt * lin)  # h phi_k(hA)
+
+    def nonlinear(w):
+        return rhs(w) - _linear_sum(normal, [(lin, w)])
+
+    def final(n_b, n_c):
+        return _linear_sum(normal, [
+            (e_full, z),
+            (f1 - 3.0 * f2 + 4.0 * f3, n_u),
+            (2.0 * f2 - 4.0 * f3, n_a + n_b),
+            (4.0 * f3 - f2, n_c),
+        ])
+
+    n_u = nonlinear(z)
+    a = _linear_sum(normal, [(e_half, z), (h1, n_u)])
+    n_a = nonlinear(a)
+    n_b = nonlinear(_linear_sum(normal, [(e_half, z), (h1, n_a)]))
+    n_c = nonlinear(_linear_sum(normal, [(e_half, a), (h1, 2.0 * n_b - n_u)]))
+    n_bk = nonlinear(_linear_sum(normal, [(e_half, z), (h1 - 2.0 * h2, n_u), (2.0 * h2, n_a)]))
+    n_ck = nonlinear(_linear_sum(normal, [(e_full, z), (f1 - 2.0 * f2, n_u), (2.0 * f2, n_bk)]))
+    return final(n_bk, n_ck), final(n_b, n_c)
+
+
+# the stepper evolve takes, (z, dt, rhs, cfg) -> (propagated, embedded); the
+# tests set it to _rkf45_step for the RKF45 reference path
+_step = _etdrk4_step
+
+
+@dataclass
+class RunStats:
+    """What one evolve run did, kept up to date while it runs.
+
+    velocity_calls counts the run's rhs calls, plus the stiff symbol's two
+    if the run took it; dt_min and dt_max span the accepted steps, None
+    before the first.
+    """
+
+    steps_attempted: int = 0
+    steps_accepted: int = 0
+    velocity_calls: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
+
+    def accept(self, dt):
+        self.steps_accepted += 1
+        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
+        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
+
+
 def evolve(state, cfg, on_snapshot=None):
     """Advance to cfg.t_final, returning snapshots every snapshot_interval.
 
-    The 4th-order solution is propagated; the 4/5 difference drives the
-    step controller.  Halts with :class:`ArcChordCollapse` when the
-    arc-chord ratio drops below arc_chord_factor times its initial value,
-    or :class:`StepSizeUnderflow` when the controller stalls.  Every
-    snapshot, the last one at t_final included, is also passed to
-    ``on_snapshot(snapshot, ratio)`` with its arc-chord minimum when it is
-    taken, so a caller keeps those taken before a halt.
+    Each step is _etdrk4_step's exponential pair, Cox-Matthews' ETDRK4 and
+    Krogstad's ETDRK4-B, with the stiff part A = n0 Omega n0^T frozen at the
+    step's start in the frame of the unit normal n0, and Omega the symbol
+    of velocity at the unit circle scaled by the mean |z_x|^(-alpha).
+    Krogstad's solution is propagated; its difference from Cox-Matthews'
+    drives the RKF45 controller (exponent 0.2, safety 0.9, factor in
+    [0.2, 5]).  That estimate only sees error terms that involve A: the two
+    methods coincide as h Omega -> 0, and with A = 0 both are classical RK4.
+    Where the dispersion is weak (alpha near 0, small N) the pair therefore
+    takes more steps than RKF45 did; the module docstring has the counts.
+    The symbol is taken up front, on every path.
+
+    Halts with :class:`ArcChordCollapse` when the arc-chord ratio drops
+    below arc_chord_factor times its initial value, or
+    :class:`StepSizeUnderflow` when the controller stalls.  Every snapshot,
+    the last one at t_final included, is also passed to
+    ``on_snapshot(snapshot, ratio, stats)`` with its arc-chord minimum when
+    it is taken, so a caller keeps those taken before a halt; stats is the
+    run's :class:`RunStats`, which goes on counting until evolve returns or
+    halts.  A run whose snapshots would exceed MAX_KEPT_POINTS points raises
+    ValueError before its first step.
     """
+    cfg.require_kept_points(state.n)
+    stats = RunStats()
+    # the symbol's two velocity evaluations count if this run takes it
+    misses = _normal_symbol.cache_info().misses
+    _normal_symbol(state.n, cfg.alpha, cfg.jump)
+    stats.velocity_calls = 2 * (_normal_symbol.cache_info().misses - misses)
     state = state.copy()
     state.points = _noise_floor_filter(state.points)
     ratio = arc_chord_min(state)
@@ -552,11 +760,12 @@ def evolve(state, cfg, on_snapshot=None):
     def emit(snap, ratio):
         snapshots.append(snap)
         if on_snapshot is not None:
-            on_snapshot(snap, ratio)
+            on_snapshot(snap, ratio, stats)
 
     emit(state.copy(), ratio)
 
     def rhs(points):
+        stats.velocity_calls += 1
         return velocity(SimState(points), cfg)
 
     next_snap = cfg.snapshot_interval
@@ -565,12 +774,14 @@ def evolve(state, cfg, on_snapshot=None):
     z = state.points
     while t < cfg.t_final - 1e-14:
         dt = min(dt, cfg.t_final - t, next_snap - t if next_snap > t else dt)
-        z4, z5 = _rkf45_step(z, dt, rhs)
-        scale = cfg.rk_abs_tol + cfg.rk_rel_tol * np.abs(z4)
-        err = float(np.max(np.abs(z5 - z4) / scale))
+        z_new, z_other = _step(z, dt, rhs, cfg)
+        stats.steps_attempted += 1
+        scale = cfg.rk_abs_tol + cfg.rk_rel_tol * np.abs(z_new)
+        err = float(np.max(np.abs(z_other - z_new) / scale))
         if err <= 1.0:
             t += dt
-            z = _noise_floor_filter(z4)
+            stats.accept(dt)
+            z = _noise_floor_filter(z_new)
             ratio = arc_chord_min(SimState(z, t))
             if ratio < threshold:
                 raise ArcChordCollapse(t, ratio)

@@ -87,7 +87,7 @@ def test_traced_evolve_counts_rk_steps(monkeypatch):
     from alphapatch import simulator as sim
 
     counts = {"attempted": 0, "filtered": 0}
-    step, floor = sim._rkf45_step, sim._noise_floor_filter
+    step, floor = sim._step, sim._noise_floor_filter
 
     def counted_step(*args):
         counts["attempted"] += 1
@@ -97,7 +97,7 @@ def test_traced_evolve_counts_rk_steps(monkeypatch):
         counts["filtered"] += 1  # once up front, then once per accepted step
         return floor(*args)
 
-    monkeypatch.setattr(sim, "_rkf45_step", counted_step)
+    monkeypatch.setattr(sim, "_step", counted_step)
     monkeypatch.setattr(sim, "_noise_floor_filter", counted_floor)
     cfg = sim.SimConfig(
         alpha=1.0, t_final=0.2, snapshot_interval=0.1, rk_abs_tol=1e-11, rk_rel_tol=1e-11

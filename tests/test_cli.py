@@ -286,6 +286,7 @@ def test_prove_rotation_rejects_bad_input(tmp_path, capsys, monkeypatch, flags):
         ["--set", "r2=1e308"],
         ["--set", "rk_abs_tol=inf"],
         ["--set", "rk_rel_tol=inf"],
+        ["--set", "t_final=1", "--set", "snapshot_interval=1e-9"],
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, monkeypatch, config):
@@ -343,12 +344,19 @@ def test_snapshots_csv_round_trips_points(tmp_path):
 def test_simulate_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("shape=circle\nn=64\nalpha=0.5\nt_final=0.1\nsnapshot_interval=0.1\n")
+    sim._normal_symbol.cache_clear()
     code = main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")])
     assert code == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["alpha"] == 0.5
     assert manifest["config_hash"] == config_hash(manifest["config"])
     assert manifest["halt"] is None
+    # the solver's work: six velocity calls per attempted step, plus the
+    # stiff symbol's two
+    solver = manifest["solver"]
+    assert 0 < solver["steps_accepted"] <= solver["steps_attempted"]
+    assert solver["velocity_calls"] == 6 * solver["steps_attempted"] + 2
+    assert 0 < solver["dt_min"] <= solver["dt_max"] <= 0.1
 
 
 def test_simulate_halt_keeps_history(tmp_path, capsys, monkeypatch):
@@ -371,6 +379,7 @@ def test_simulate_halt_keeps_history(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["halt"]["reason"] == "ArcChordCollapse"
     assert manifest["halt"]["time"] == 0.15
+    assert manifest["solver"] is None  # this evolve hands over no RunStats
 
 
 def test_simulate_writes_each_snapshot_when_it_is_taken(tmp_path, monkeypatch):

@@ -157,17 +157,19 @@ def test_evolve_snapshot_times():
 def test_every_snapshot_reaches_the_callback():
     """t_final is not a multiple of snapshot_interval, so the last snapshot
     is taken after the loop; the callback still sees it, with its arc-chord
-    minimum."""
-    seen, ratios = [], []
+    minimum and the run's one RunStats."""
+    seen, ratios, stats = [], [], []
 
-    def record(snap, ratio):
+    def record(snap, ratio, run_stats):
         seen.append(snap)
         ratios.append(ratio)
+        stats.append(run_stats)
 
     snaps = evolve(circle_state(1.0, 64), SimConfig(alpha=1.0, t_final=0.25, snapshot_interval=0.1), record)
     times = [s.time for s in seen]
     assert times == [s.time for s in snaps]
     assert ratios == [arc_chord_min(s) for s in snaps]
+    assert all(s is stats[0] for s in stats) and stats[0].steps_accepted >= 3
     assert np.allclose(times, [0.0, 0.1, 0.2, 0.25], rtol=0.0, atol=1e-12)
 
 
@@ -400,10 +402,18 @@ _ARC_CHORD_BITS = {
     ("bump", 512): "0x1.30274085d508cp-1",
 }
 # evolve(ellipse_state(1, 3, 128), alpha=1, t_final=0.1, snapshots every 0.05)
+# on the RKF45 reference path
 _EVOLVE_BITS = [
     ("0x0.0p+0", "8664cfcfae5b6a6caae96d1c1c85540951a2abec6636008787b9aa9e73999329"),
     ("0x1.999999999999ap-5", "cbb65d16fb9d0ec8d10c646eaf942519796ce101a96477aa873c3c155446afc0"),
     ("0x1.999999999999ap-4", "bc5a30a0de36b62b8a5975915a95378a8e1d3b6555e2f14a809bdcc34259f17d"),
+]
+# the same run on the default exponential path, as first computed with
+# _full_matrix_kernel_sum
+_ETD_EVOLVE_BITS = [
+    ("0x0.0p+0", "8664cfcfae5b6a6caae96d1c1c85540951a2abec6636008787b9aa9e73999329"),
+    ("0x1.999999999999ap-5", "89ee354a2521bc847f1ecfa7eee6b0397f4992ca09dc841a2de69c190f309128"),
+    ("0x1.999999999999ap-4", "a551781f690e5c3c46626508eecfe6c9468237607a292aec2dfd0ece8f35d075"),
 ]
 
 
@@ -411,17 +421,50 @@ def _sha(array):
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-def test_simulator_frozen_bits():
-    """velocity, arc_chord_min and a short evolve give the bits of the
-    full-matrix kernel."""
+def _full_matrix_kernel_sum(z, zx, alpha):
+    """_kernel_sum's arithmetic on one full (N, N) kernel array."""
+    dx = z[:, None, 0] - z[None, :, 0]
+    dy = z[:, None, 1] - z[None, :, 1]
+    dist2 = dx * dx + dy * dy
+    np.fill_diagonal(dist2, 1.0)
+    if alpha == 0.0:
+        kern = 0.5 * np.log(dist2)
+        np.fill_diagonal(kern, 0.0)
+        return kern @ zx
+    kern = np.power(dist2, -alpha / 2.0)
+    np.fill_diagonal(kern, 0.0)
+    return kern.sum(1)[:, None] * zx - kern @ zx
+
+
+def _frozen_evolve():
+    snaps = evolve(ellipse_state(1.0, 3.0, 128), SimConfig(alpha=1.0, t_final=0.1, snapshot_interval=0.05))
+    return [(s.time.hex(), _sha(s.points)) for s in snaps]
+
+
+def test_simulator_frozen_bits(monkeypatch):
+    """velocity, arc_chord_min and a short evolve on the RKF45 reference
+    path give the bits of the full-matrix kernel."""
     for (shape, n), want in _ARC_CHORD_BITS.items():
         state = ellipse_state(1.0, 3.0, n) if shape == "ellipse" else bump_state(0.15, n)
         assert arc_chord_min(state).hex() == want, (shape, n)
         for alpha in (0.0, 0.02, 1.0, 1.96):
             got = _sha(velocity(state, SimConfig(alpha=alpha)))
             assert got == _VELOCITY_BITS[shape, n, alpha], (shape, n, alpha)
-    snaps = evolve(ellipse_state(1.0, 3.0, 128), SimConfig(alpha=1.0, t_final=0.1, snapshot_interval=0.05))
-    assert [(s.time.hex(), _sha(s.points)) for s in snaps] == _EVOLVE_BITS
+    monkeypatch.setattr(simulator, "_step", simulator._rkf45_step)
+    assert _frozen_evolve() == _EVOLVE_BITS
+
+
+@pytest.mark.parametrize("kernel", ["blocks", "full_matrix"])
+def test_exponential_evolve_frozen_bits(kernel, monkeypatch):
+    """The default path gives the same bits on the row blocks and on one
+    full (N, N) kernel array, the symbol included."""
+    if kernel == "full_matrix":
+        monkeypatch.setattr(simulator, "_kernel_sum", _full_matrix_kernel_sum)
+    simulator._normal_symbol.cache_clear()
+    try:
+        assert _frozen_evolve() == _ETD_EVOLVE_BITS
+    finally:
+        simulator._normal_symbol.cache_clear()
 
 
 # diagnostics() fields (min_curvature, area, arc_chord_min, speed_variation)
@@ -444,3 +487,127 @@ def test_diagnostics_frozen_bits():
         d = diagnostics(state)
         got = (d.min_curvature.hex(), d.area.hex(), d.arc_chord_min.hex(), d.speed_variation.hex())
         assert got == _DIAGNOSTICS_BITS[name], name
+
+
+# ---------------------------------------------------------------------------
+# the exponential stepper
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha, response", [(0.5, 304.0), (1.0, 666.0), (1.5, 1990.0)])
+def test_normal_symbol_matches_measured_response(alpha, response):
+    """At N = 512, k = 200 the symbol reads -i times the normal response to
+    a cos(kx) normal perturbation of the circle, measured by finite
+    differences through velocity: 304, 666 and 1,990, within 1 %."""
+    symbol = simulator._normal_symbol(512, alpha, -2 * math.pi)
+    assert abs(symbol[200].imag + response) <= 0.01 * response
+    assert abs(symbol[200].real) <= 1e-6 * response
+    assert not symbol.flags.writeable
+
+
+def test_exponential_round_trip():
+    """exp(hA) and then exp(-hA) give w back to 1e-14 relative, on the
+    benchmark ellipse with |h Omega| up to 17."""
+    z = ellipse_state(1.0, 3.0, 512).points
+    normal, omega = simulator._frame(z, SimConfig(alpha=1.0))
+    lin = 0.05 * np.append(omega, 0.0)
+    assert 15.0 < np.abs(lin).max() < 20.0
+    w = np.random.default_rng(7).standard_normal(z.shape)
+    there = simulator._linear_sum(normal, [(np.exp(lin), w)])
+    back = simulator._linear_sum(normal, [(np.exp(-lin), there)])
+    assert np.abs(back - w).max() <= 1e-14 * np.abs(w).max()
+
+
+def _phi_closed(z, k):
+    """phi_k(z) = (e^z - sum_{j<k} z^j/j!) / z^k in mpmath at 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        z = mpmath.mpc(z)
+        head = sum(z**j / mpmath.factorial(j) for j in range(k))
+        return complex((mpmath.exp(z) - head) / z**k)
+
+
+def test_phis_at_imaginary_arguments():
+    """phi_1..3 at imaginary z agree with their closed forms to 1e-15
+    relative, on both sides of the switch at |z| = 1, and with five terms
+    of their Taylor series at |z| <= 1e-3; phi_k(0) = 1/k! exactly."""
+    ys = np.array([1e-3, 0.3, 0.999, 1.0, 1.001, 2.5, 40.0, 2000.0])
+    zs = 1j * np.concatenate([ys, -ys])
+    got = simulator._phis(zs)
+    for i, z in enumerate(zs):
+        for k in range(3):
+            want = _phi_closed(z, k + 1)
+            assert abs(got[k, i] - want) <= 1e-15 * abs(want), (z, k)
+    small = 1j * np.array([0.0, 1e-12, -1e-8, 1e-5, -1e-3])
+    got = simulator._phis(small)
+    for k in range(3):
+        taylor = sum(small**j / math.factorial(j + k + 1) for j in range(5))
+        assert np.abs(got[k] - taylor).max() <= 1e-16
+        assert got[k, 0] == 1.0 / math.factorial(k + 1)
+
+
+def _final_points(state, cfg, monkeypatch, stepper):
+    monkeypatch.setattr(simulator, "_step", stepper)
+    return evolve(state, cfg)[-1].points
+
+
+@pytest.mark.parametrize(
+    "shape, n, alpha, t_final, bound",
+    [
+        # the benchmark run: measured 1.4e-7
+        ("ellipse", 512, 1.0, 1.0, 1e-6),
+        # measured 1.3e-7, 9.7e-8, 1.3e-7, 1.2e-7 and 5.7e-7
+        ("ellipse", 128, 0.0, 0.3, 3e-7),
+        ("ellipse", 128, 0.02, 0.3, 2e-7),
+        ("ellipse", 128, 0.5, 0.3, 3e-7),
+        ("ellipse", 256, 1.5, 0.3, 3e-7),
+        ("bump", 128, 1.0, 0.3, 1.2e-6),
+    ],
+)
+def test_exponential_path_matches_rkf45_reference(shape, n, alpha, t_final, bound, monkeypatch):
+    """At t_final the default path lies within bound of RKF45 at tolerance
+    1e-12."""
+    state = ellipse_state(1.0, 3.0, n) if shape == "ellipse" else bump_state(0.15, n)
+    cfg = SimConfig(alpha=alpha, t_final=t_final, snapshot_interval=t_final)
+    tight = SimConfig(
+        alpha=alpha, t_final=t_final, snapshot_interval=t_final, rk_abs_tol=1e-12, rk_rel_tol=1e-12
+    )
+    got = _final_points(state, cfg, monkeypatch, simulator._etdrk4_step)
+    want = _final_points(state, tight, monkeypatch, simulator._rkf45_step)
+    assert float(np.abs(got - want).max()) <= bound
+
+
+def test_run_stats_count_every_velocity_call(monkeypatch):
+    """Six velocity calls per attempted step, plus the symbol's two when
+    the run takes it; dt_min and dt_max span the accepted steps."""
+    calls = []
+
+    def counted(state, cfg):
+        calls.append(state.n)
+        return simulator._velocity(state.points, cfg)
+
+    monkeypatch.setattr(simulator, "velocity", counted)
+    simulator._normal_symbol.cache_clear()
+    cfg = SimConfig(alpha=1.0, t_final=0.2, snapshot_interval=0.1)
+    for symbol_calls in (2, 0):
+        calls.clear()
+        seen = []
+        evolve(ellipse_state(1.0, 3.0, 64), cfg, lambda snap, ratio, stats: seen.append(stats))
+        stats = seen[-1]
+        assert len(calls) == 6 * stats.steps_attempted
+        assert stats.velocity_calls == len(calls) + symbol_calls
+        assert 0 < stats.steps_accepted <= stats.steps_attempted
+        assert 0 < stats.dt_min <= stats.dt_max <= 0.1
+
+
+def test_evolve_rejects_too_many_kept_points():
+    """A run whose snapshots would hold more than MAX_KEPT_POINTS points
+    stops before its first step."""
+    cfg = SimConfig(alpha=1.0, t_final=1.0, snapshot_interval=1e-9)
+    with pytest.raises(ValueError, match="kept points"):
+        evolve(circle_state(1.0, 64), cfg)
+    fits = SimConfig(alpha=1.0, t_final=1.0, snapshot_interval=64 / simulator.MAX_KEPT_POINTS)
+    fits.require_kept_points(32)
+    with pytest.raises(ValueError):
+        fits.require_kept_points(64)
